@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, Family, full_mask, points_of
+from .core import ClaimFalsified, DomainError, Family, full_mask, points_of
 from .topology import PreconditionError, Topology, space_report, validate_topology
 
 
@@ -147,6 +147,32 @@ class ClassificationLabel:
         return out
 
 
+def descriptors(n: int, kinds: tuple[str, ...]) -> list[FormDescriptor]:
+    """Every constructible descriptor on n points (principal seeds) whose
+    kind is in `kinds`, in a fixed order: ExcludedPoint, IncludedPoint,
+    UltrafilterType, Form1A / Form1B interleaved per (a, seed), Form3,
+    T2Shape."""
+    full = full_mask(n)
+    out = [FormDescriptor(k, a=a) for k in ("ExcludedPoint", "IncludedPoint")
+           if k in kinds for a in range(n)]
+    if "UltrafilterType" in kinds:
+        out += [FormDescriptor("UltrafilterType", seed=p) for p in range(n)]
+    out += [FormDescriptor(k, a=a, seed=s) for a in range(n) for s in range(n)
+            if s != a for k in ("Form1A", "Form1B") if k in kinds]
+    if "Form3" in kinds:
+        out += [FormDescriptor("Form3", a=a, b=b)
+                for a in range(n) for b in range(a + 1, n)]
+    if "T2Shape" in kinds:
+        out += [FormDescriptor("T2Shape", A=A, p=p, q=q) for A in range(1, full)
+                for p in points_of(A) for q in points_of(full & ~A)]
+    return out
+
+
+def _matching(top: Topology, kinds: tuple[str, ...]) -> tuple[FormDescriptor, ...]:
+    return tuple(d for d in descriptors(top.n, kinds)
+                 if construct_topology(d, top.n).opens == top.opens)
+
+
 def classify_connected_door(top: Topology) -> ClassificationLabel:
     """All excluded-point / included-point descriptors matching a connected
     door topology.  The ultrafilter type never occurs on a finite set."""
@@ -157,39 +183,14 @@ def classify_connected_door(top: Topology) -> ClassificationLabel:
             degenerate=True)
     if not space_report(top).connected_door:
         raise PreconditionError("space is not a connected door space")
-    labels = []
-    for kind in ("ExcludedPoint", "IncludedPoint"):
-        for a in range(n):
-            d = FormDescriptor(kind, a=a)
-            if construct_topology(d, n).opens == top.opens:
-                labels.append(d)
-    assert labels, "connected door space matched no finite type"
-    return ClassificationLabel(tuple(labels))
+    labels = _matching(top, ("ExcludedPoint", "IncludedPoint"))
+    if not labels:
+        raise ClaimFalsified("connected door space has a finite type",
+                             {"n": n, "hex": top.opens.to_hex()})
+    return ClassificationLabel(labels)
 
 
 def recognize_form(top: Topology) -> ClassificationLabel:
     """All Form1A / Form1B / Form3 / T2Shape descriptors (with principal
     seeds) whose construction equals the given topology."""
-    n = top.n
-    full = full_mask(n)
-    labels: list[FormDescriptor] = []
-    for a in range(n):
-        for s in range(n):
-            if s == a:
-                continue
-            for kind in ("Form1A", "Form1B"):
-                d = FormDescriptor(kind, a=a, seed=s)
-                if construct_topology(d, n).opens == top.opens:
-                    labels.append(d)
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = FormDescriptor("Form3", a=a, b=b)
-            if construct_topology(d, n).opens == top.opens:
-                labels.append(d)
-    for A in range(1, full):
-        for p in points_of(A):
-            for q in points_of(full & ~A):
-                d = FormDescriptor("T2Shape", A=A, p=p, q=q)
-                if construct_topology(d, n).opens == top.opens:
-                    labels.append(d)
-    return ClassificationLabel(tuple(labels))
+    return ClassificationLabel(_matching(top, ("Form1A", "Form1B", "Form3", "T2Shape")))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import (
@@ -18,10 +17,9 @@ from .classify import (
     construct_topology,
     recognize_form,
 )
-from .core import DomainError, mask_from_points, parse_family
+from .core import (
+    CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family, points_of)
 from .search import (
-    CapabilityError,
-    counts_report,
     compare_with_golden,
     enumerate_connected_door,
     enumerate_occ_door,
@@ -80,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="doorlab",
         description="Finite verification engine for connected door topologies "
                     "and set-equation solutions.")
-    ap.add_argument("--workers", type=int,
-                    default=os.cpu_count() or 1,
-                    help="worker count for partitioned scans")
     ap.add_argument("--out", help="write the JSON result to a file")
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -145,7 +140,6 @@ def run(argv: list[str]) -> int:
             occ, witness = occ_satisfied(top)
             doc["occ"] = occ
             if witness is not None:
-                from .core import points_of
                 doc["occ_witness"] = [points_of(m) for m in witness]
             if doc["report"]["connected_door"]:
                 doc["lemma1"] = lemma1_check(top)[0]
@@ -169,15 +163,15 @@ def run(argv: list[str]) -> int:
 
         elif args.verb == "enumerate":
             if args.what == "topologies":
-                tops, rep = enumerate_topologies(args.n, args.mode, args.workers)
+                tops, rep = enumerate_topologies(args.n, args.mode)
                 _emit({"report": rep.to_json(),
                        "topologies": [t.opens.to_hex() for t in tops]}, args.out)
             elif args.what == "connected-door":
-                tops = enumerate_connected_door(args.n, args.mode, args.workers)
+                tops = enumerate_connected_door(args.n, args.mode)
                 _emit({"n": args.n, "count": len(tops),
                        "topologies": [t.to_json() for t in tops]}, args.out)
             else:
-                result = enumerate_occ_door(args.n, args.mode, args.workers)
+                result = enumerate_occ_door(args.n, args.mode)
                 if isinstance(result, dict):
                     _emit(result, args.out)
                 else:
@@ -191,11 +185,14 @@ def run(argv: list[str]) -> int:
                 return 1
 
         elif args.verb == "report":
-            doc = compare_with_golden(args.n, workers=args.workers)
+            doc = compare_with_golden(args.n)
             _emit(doc, args.out)
             if doc["match"] is False:
                 return 1
 
+    except ClaimFalsified as exc:
+        _emit({"claim_falsified": exc.claim, "witness": exc.witness}, args.out)
+        return 1
     except (DomainError, TopologyError, PreconditionError, CapabilityError,
             UnconstructibleError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,39 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_POINTS = 6
-RAW_SCAN_MAX = 4
+
+# Largest ground set each job accepts; the key is the job's name in the
+# error message.
+CAPS = {
+    "raw_scan": 4,
+    "closure_dfs": MAX_POINTS,
+    "occ-door enumeration": 5,
+    "brute solution scan": 4,
+    "modular solution scan": MAX_POINTS,
+    "counts report": 5,
+}
 
 
 class DomainError(ValueError):
     """Input outside the declared domain (bad point index, bad mask, ...)."""
+
+
+class CapabilityError(ValueError):
+    """Requested scale exceeds the mode's cap."""
+
+
+class ClaimFalsified(Exception):
+    """A claim the engine checks failed; `witness` is JSON-ready."""
+
+    def __init__(self, claim: str, witness) -> None:
+        super().__init__(f"{claim}: {witness}")
+        self.claim = claim
+        self.witness = witness
+
+
+def check_cap(job: str, n: int) -> None:
+    if n > CAPS[job]:
+        raise CapabilityError(f"{job} caps at n = {CAPS[job]}")
 
 
 def check_ground(n: int) -> None:

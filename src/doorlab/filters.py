@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    ClaimFalsified,
     DomainError,
     Family,
     complement,
@@ -160,8 +161,9 @@ def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:
         raise DomainError("family is not an algebra")
     out = [_filter_of_atom(atom, sigma) for atom in atoms_of_algebra(sigma)]
     for f in out:
-        assert is_ultrafilter(f.members, sigma)
-        assert not f.is_free
+        if f.is_free or not is_ultrafilter(f.members, sigma):
+            raise ClaimFalsified("ultrafilters on a finite algebra are principal",
+                                 {"sigma": sigma.to_subsets(), "atom": points_of(f.atom)})
     return out
 
 

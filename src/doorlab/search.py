@@ -8,12 +8,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import FormDescriptor, classify_connected_door, construct_topology
-from .core import Family, full_mask, popcount
+from .classify import classify_connected_door, construct_topology, descriptors
+from .core import CAPS, CapabilityError, ClaimFalsified, Family, check_cap, full_mask, popcount
 from .topology import (
     Topology,
     is_topology_bits,
@@ -24,16 +23,12 @@ from .topology import (
 from .valuations import (
     EC_ZERO,
     ExactComplex,
+    ModularParams,
     SetFunction,
     ec,
     induced_family,
+    modular_compose,
 )
-
-CLOSURE_MAX = 6
-
-
-class CapabilityError(ValueError):
-    """Requested scale exceeds the mode's cap."""
 
 
 @dataclass(frozen=True)
@@ -53,31 +48,10 @@ class EnumerationReport:
         }
 
 
-def _chunks(total: int, workers: int) -> list[range]:
-    workers = max(1, workers)
-    step = (total + workers - 1) // workers
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _raw_scan(n: int, workers: int) -> tuple[list[int], int]:
+def _raw_scan(n: int) -> tuple[list[int], int]:
     space = 1 << (1 << n)
-    full = full_mask(n)
-    base = 1 | (1 << full)
-
-    def scan(rng: range) -> list[int]:
-        found = []
-        for bits in rng:
-            if bits & base == base and is_topology_bits(n, bits):
-                found.append(bits)
-        return found
-
-    parts = _chunks(space, workers)
-    if len(parts) == 1:
-        merged = scan(parts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            merged = [b for part in pool.map(scan, parts) for b in part]
-    return merged, space
+    base = 1 | (1 << full_mask(n))
+    return [b for b in range(space) if b & base == base and is_topology_bits(n, b)], space
 
 
 def _closure_dfs(n: int) -> tuple[list[int], int]:
@@ -122,18 +96,16 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
 
 
 def enumerate_topologies(
-    n: int, mode: str = "auto", workers: int = 1
+    n: int, mode: str = "auto"
 ) -> tuple[list[Topology], EnumerationReport]:
     if mode == "auto":
-        mode = "raw_scan" if n <= 4 else "closure_dfs"
+        mode = "raw_scan" if n <= CAPS["raw_scan"] else "closure_dfs"
     start = time.monotonic()
     if mode == "raw_scan":
-        if n > 4:
-            raise CapabilityError("raw_scan caps at n = 4")
-        bits_list, scanned = _raw_scan(n, workers)
+        check_cap(mode, n)
+        bits_list, scanned = _raw_scan(n)
     elif mode == "closure_dfs":
-        if n > CLOSURE_MAX:
-            raise CapabilityError(f"closure_dfs caps at n = {CLOSURE_MAX}")
+        check_cap(mode, n)
         bits_list, scanned = _closure_dfs(n)
     else:
         raise CapabilityError(f"unknown enumeration mode {mode!r}")
@@ -146,33 +118,37 @@ def enumerate_topologies(
     return tops, report
 
 
-def enumerate_connected_door(n: int, mode: str = "auto", workers: int = 1) -> list[Topology]:
-    tops, _ = enumerate_topologies(n, mode, workers)
+def enumerate_connected_door(n: int, mode: str = "auto") -> list[Topology]:
+    tops, _ = enumerate_topologies(n, mode)
     out = [t for t in tops if space_report(t).connected_door]
     if n >= 2:
         expected = 2 if n == 2 else 2 * n
-        assert len(out) == expected, f"connected-door count {len(out)} != {expected}"
+        if len(out) != expected:
+            raise ClaimFalsified("connected-door count",
+                                 {"n": n, "count": len(out), "expected": expected})
         for t in out:
             labels = classify_connected_door(t).labels
-            assert labels and all(
-                d.kind in ("ExcludedPoint", "IncludedPoint") for d in labels)
+            if not all(d.kind in ("ExcludedPoint", "IncludedPoint") for d in labels):
+                raise ClaimFalsified("connected door spaces are point topologies",
+                                     {"n": n, "hex": t.opens.to_hex()})
     return out
 
 
-def enumerate_occ_door(n: int, mode: str = "auto", workers: int = 1):
+def enumerate_occ_door(n: int, mode: str = "auto"):
     """Door topologies satisfying OCC; each must be connected-door once the
     space has more than three points."""
     if n < 4:
         return {"note": "OCC is vacuous below four points", "n": n}
-    if n > 5:
-        raise CapabilityError("occ-door enumeration caps at n = 5")
-    tops, _ = enumerate_topologies(n, mode, workers)
+    check_cap("occ-door enumeration", n)
+    tops, _ = enumerate_topologies(n, mode)
     out = []
     for t in tops:
         rep = space_report(t)
         if rep.door and occ_satisfied(t)[0]:
             out.append(t)
-            assert rep.connected_door, "door + OCC space is not connected-door"
+            if not rep.connected_door:
+                raise ClaimFalsified("door + OCC implies connected door",
+                                     {"n": n, "hex": t.opens.to_hex()})
     return out
 
 
@@ -238,22 +214,13 @@ def _modular_solutions(
 ) -> list[SetFunction]:
     """Solutions via the weight parameterization: disjoint-additive
     solutions are point-weight sums, valuation solutions add a constant."""
-    top = 1 << n
     value_set = set(values)
     out: list[SetFunction] = []
 
     def try_weights(c: ExactComplex, weights: list[ExactComplex], includes_empty: bool):
-        vals = []
-        for m in range(top):
-            v = c
-            for x in range(n):
-                if (m >> x) & 1:
-                    v = v + weights[x]
-            vals.append(v)
-        dom = range(0 if includes_empty else 1, top)
-        used = {vals[m] for m in dom}
-        if used == value_set:
-            out.append(SetFunction(n, includes_empty, tuple(vals)))
+        f = modular_compose(ModularParams(n, c, tuple(weights)), includes_empty)
+        if {f.values[m] for m in f.domain()} == value_set:
+            out.append(f)
 
     def rec(weights: list[ExactComplex], choices: list[ExactComplex], c: ExactComplex,
             includes_empty: bool) -> None:
@@ -284,12 +251,10 @@ def enumerate_solutions(
     if len(set(values)) != len(values) or len(values) not in (2, 3):
         raise CapabilityError("value set must have 2 or 3 distinct members")
     if mode == "brute":
-        if n > 4:
-            raise CapabilityError("brute solution scan caps at n = 4")
+        check_cap("brute solution scan", n)
         return _brute_solutions(n, values, equation)
     if mode == "modular":
-        if n > CLOSURE_MAX:
-            raise CapabilityError(f"modular solution scan caps at n = {CLOSURE_MAX}")
+        check_cap("modular solution scan", n)
         return _modular_solutions(n, values, equation)
     raise CapabilityError(f"unknown solution mode {mode!r}")
 
@@ -297,19 +262,8 @@ def enumerate_solutions(
 def three_valued_form_bits(n: int) -> set[int]:
     """Family bitsets of every Form1A / Form1B / Form3 instance with
     principal seeds."""
-    out: set[int] = set()
-    for a in range(n):
-        for s in range(n):
-            if s == a:
-                continue
-            for kind in ("Form1A", "Form1B"):
-                out.add(construct_topology(
-                    FormDescriptor(kind, a=a, seed=s), n).opens.bits)
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.add(construct_topology(
-                FormDescriptor("Form3", a=a, b=b), n).opens.bits)
-    return out
+    return {construct_topology(d, n).opens.bits
+            for d in descriptors(n, ("Form1A", "Form1B", "Form3"))}
 
 
 def induced_topology_survey(n: int, mode: str = "brute") -> dict:
@@ -339,10 +293,9 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
     }
 
 
-def counts_report(n: int, mode: str = "auto", workers: int = 1) -> dict:
-    if n > 5:
-        raise CapabilityError("counts report caps at n = 5")
-    tops, rep = enumerate_topologies(n, mode, workers)
+def counts_report(n: int, mode: str = "auto") -> dict:
+    check_cap("counts report", n)
+    tops, rep = enumerate_topologies(n, mode)
     door = 0
     connected_door = 0
     occ_door = 0
@@ -383,8 +336,8 @@ def load_golden(n: int) -> dict | None:
     return json.loads(path.read_text())
 
 
-def compare_with_golden(n: int, workers: int = 1) -> dict:
-    fresh = counts_report(n, workers=workers)
+def compare_with_golden(n: int) -> dict:
+    fresh = counts_report(n)
     golden = load_golden(n)
     stable_keys = ("topologies", "door", "connected_door", "occ_door")
     if golden is None:

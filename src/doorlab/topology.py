@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, Family, complement, full_mask, points_of, popcount, subset_key
+from .core import (
+    ClaimFalsified, Family, complement, full_mask, points_of, popcount, subset_key)
 
 
 class TopologyError(ValueError):
@@ -32,11 +33,13 @@ class Topology:
         return {"n": self.n, "opens": self.opens.to_subsets(), "hex": self.opens.to_hex()}
 
 
-def is_topology_bits(n: int, bits: int) -> bool:
-    """Fast axiom check on a raw family bitset (used by enumeration scans)."""
-    full = full_mask(n)
-    if not (bits >> 0) & 1 or not (bits >> full) & 1:
-        return False
+def _axiom_witness(n: int, bits: int) -> tuple | None:
+    """None for a topology, else its first axiom violation: ("empty",),
+    ("whole",), or ("union" | "intersection", u, v)."""
+    if not bits & 1:
+        return ("empty",)
+    if not (bits >> full_mask(n)) & 1:
+        return ("whole",)
     members = []
     b = bits
     while b:
@@ -46,29 +49,31 @@ def is_topology_bits(n: int, bits: int) -> bool:
     for i, u in enumerate(members):
         for v in members[i + 1:]:
             if not (bits >> (u | v)) & 1:
-                return False
+                return ("union", u, v)
             if not (bits >> (u & v)) & 1:
-                return False
-    return True
+                return ("intersection", u, v)
+    return None
+
+
+def is_topology_bits(n: int, bits: int) -> bool:
+    """Fast axiom check on a raw family bitset (used by enumeration scans)."""
+    return _axiom_witness(n, bits) is None
 
 
 def validate_topology(fam: Family) -> Topology:
-    n = fam.n
-    full = full_mask(n)
-    if 0 not in fam:
+    witness = _axiom_witness(fam.n, fam.bits)
+    if witness is None:
+        return Topology(fam.n, fam)
+    kind = witness[0]
+    if kind == "empty":
         raise TopologyError("empty set missing from the family")
-    if full not in fam:
-        raise TopologyError(f"whole space {points_of(full)} missing from the family")
-    members = list(fam.members())
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if (u | v) not in fam:
-                raise TopologyError(
-                    f"union {points_of(u)} | {points_of(v)} = {points_of(u | v)} missing")
-            if (u & v) not in fam:
-                raise TopologyError(
-                    f"intersection {points_of(u)} & {points_of(v)} = {points_of(u & v)} missing")
-    return Topology(n, fam)
+    if kind == "whole":
+        raise TopologyError(
+            f"whole space {points_of(full_mask(fam.n))} missing from the family")
+    u, v = witness[1:]
+    op, w = ("|", u | v) if kind == "union" else ("&", u & v)
+    raise TopologyError(
+        f"{kind} {points_of(u)} {op} {points_of(v)} = {points_of(w)} missing")
 
 
 @dataclass(frozen=True)
@@ -93,31 +98,31 @@ class SpaceReport:
         }
 
 
+def _closed_bits(n: int, opens: int) -> int:
+    """The closed-set family.  The complement of mask m is full - m, so it
+    is the open family's 2^n-bit word reversed."""
+    return int(format(opens, f"0{1 << n}b")[::-1], 2)
+
+
 def space_report(top: Topology) -> SpaceReport:
     n = top.n
-    full = full_mask(n)
-    clopen_proper = 0
-    door = True
-    for m in range(1 << n):
-        is_o = top.is_open(m)
-        is_c = top.is_closed(m)
-        if not is_o and not is_c:
-            door = False
-        if is_o and is_c and m not in (0, full):
-            clopen_proper += 1
+    every = (1 << (1 << n)) - 1
+    ends = 1 | (1 << full_mask(n))
+    o = top.opens.bits
+    c = _closed_bits(n, o)
+    door = o | c == every
+    clopen_proper = popcount(o & c & ~ends)
     connected = clopen_proper == 0
     connected_door = connected and door
 
     # Cross-check against the xor characterization: every proper nonempty
     # subset open or closed but not both.
-    xor_ok = all(
-        top.is_open(m) != top.is_closed(m)
-        for m in range(1, full)
-    )
-    assert connected_door == xor_ok, "connected-door characterizations disagree"
+    if connected_door != ((o ^ c) | ends == every):
+        raise ClaimFalsified("connected-door characterizations agree",
+                             {"n": n, "hex": top.opens.to_hex()})
 
-    open_singles = tuple(p for p in range(n) if top.is_open(1 << p))
-    closed_singles = tuple(p for p in range(n) if top.is_closed(1 << p))
+    open_singles = tuple(p for p in range(n) if (o >> (1 << p)) & 1)
+    closed_singles = tuple(p for p in range(n) if (c >> (1 << p)) & 1)
     return SpaceReport(
         connected=connected,
         door=door,

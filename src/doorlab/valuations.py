@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import filters
 from .classify import FormDescriptor, UnconstructibleError, construct_topology
-from .core import DomainError, Family, check_ground, complement, full_mask, popcount
+from .core import (
+    DomainError, Family, check_ground, complement, full_mask, points_of, popcount)
 from .topology import Topology, TopologyError, space_report, validate_topology
 
 
@@ -117,7 +118,6 @@ class SetFunction:
                       key=ExactComplex.sort_key)
 
     def to_json(self) -> dict:
-        from .core import points_of
         return {
             "n": self.n,
             "includes_empty": self.includes_empty,

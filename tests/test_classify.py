@@ -1,13 +1,15 @@
 import pytest
 
 from doorlab.classify import (
+    VALID_KINDS,
     FormDescriptor,
     UnconstructibleError,
     classify_connected_door,
     construct_topology,
+    descriptors,
     recognize_form,
 )
-from doorlab.core import parse_family
+from doorlab.core import full_mask, parse_family, points_of
 from doorlab.topology import PreconditionError, validate_topology
 
 
@@ -115,6 +117,32 @@ def test_roundtrip_constructible_descriptors(n):
             assert d in classify_connected_door(top).labels
         else:
             assert d in recognize_form(top).labels
+
+
+def reference_descriptors(n):
+    """Every constructible descriptor on n points, listed kind by kind."""
+    out = [FormDescriptor("ExcludedPoint", a=a) for a in range(n)]
+    out += [FormDescriptor("IncludedPoint", a=a) for a in range(n)]
+    out += [FormDescriptor("UltrafilterType", seed=p) for p in range(n)]
+    for a in range(n):
+        for s in range(n):
+            if s != a:
+                out.append(FormDescriptor("Form1A", a=a, seed=s))
+                out.append(FormDescriptor("Form1B", a=a, seed=s))
+    for a in range(n):
+        for b in range(a + 1, n):
+            out.append(FormDescriptor("Form3", a=a, b=b))
+    full = full_mask(n)
+    for A in range(1, full):
+        for p in points_of(A):
+            for q in points_of(full & ~A):
+                out.append(FormDescriptor("T2Shape", A=A, p=p, q=q))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_descriptors_order(n):
+    assert descriptors(n, VALID_KINDS) == reference_descriptors(n)
 
 
 def test_descriptor_json():

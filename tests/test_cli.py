@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from doorlab.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def capture(capsys, argv):
@@ -84,11 +90,10 @@ def test_report_matches_golden(capsys):
     assert json.loads(out)["match"] is True
 
 
-def test_output_determinism_across_runs_and_workers(capsys):
+def test_output_determinism_across_runs(capsys):
     outputs = []
-    for workers in ("1", "3", "1"):
+    for _ in range(3):
         code, out, _ = capture(capsys, [
-            "--workers", workers,
             "enumerate", "--what", "topologies", "--n", "3",
             "--mode", "raw_scan"])
         assert code == 0
@@ -108,3 +113,30 @@ def test_out_file(tmp_path, capsys):
 def test_unknown_option_rejected(capsys):
     code = run(["solve", "--n", "3", "--values", "0,1", "--frobnicate"])
     assert code == 2
+
+
+def test_workers_option_removed(capsys):
+    code = run(["--workers", "2", "enumerate", "--what", "topologies", "--n", "2"])
+    assert code == 2
+
+
+def test_falsified_claim_exits_1_with_witness_under_O():
+    # Claim checks must run even when asserts are stripped.  Patching the
+    # enumerator to find nothing falsifies the connected-door count.
+    script = (
+        "import sys\n"
+        "import doorlab.search as search\n"
+        "search.enumerate_topologies = lambda n, mode='auto': ([], None)\n"
+        "from doorlab.cli import run\n"
+        "sys.exit(run(['enumerate', '--what', 'connected-door', '--n', '4']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "claim_falsified": "connected-door count",
+        "witness": {"n": 4, "count": 0, "expected": 8},
+    }

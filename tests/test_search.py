@@ -42,14 +42,6 @@ def test_closure_cap():
         enumerate_topologies(7, "closure_dfs")
 
 
-def test_worker_determinism():
-    for workers in (1, 2, 5):
-        bits = [t.opens.bits
-                for t in enumerate_topologies(4, "raw_scan", workers=workers)[0]]
-        assert bits == [t.opens.bits
-                        for t in enumerate_topologies(4, "raw_scan", workers=1)[0]]
-
-
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 8), (5, 10)])
 def test_connected_door_counts(n, count):
     assert len(enumerate_connected_door(n)) == count

@@ -2,9 +2,10 @@ import pytest
 
 from doorlab.classify import FormDescriptor, construct_topology
 from doorlab.core import Family, parse_family, powerset
-from doorlab.search import enumerate_connected_door
+from doorlab.search import enumerate_connected_door, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
+    SpaceReport,
     TopologyError,
     lemma1_check,
     occ_satisfied,
@@ -37,6 +38,48 @@ def test_validate_missing_whole_space():
 def test_validate_missing_union():
     with pytest.raises(TopologyError, match="union"):
         validate_topology(parse_family(3, [[], [0], [1], [0, 1, 2]]))
+
+
+@pytest.mark.parametrize("n,subsets,message", [
+    (2, [[0], [0, 1]], "empty set missing from the family"),
+    (2, [[], [0]], "whole space [0, 1] missing from the family"),
+    (3, [[], [0], [1], [0, 1, 2]], "union [0] | [1] = [0, 1] missing"),
+    (3, [[], [0, 1], [1, 2], [0, 1, 2]], "intersection [0, 1] & [1, 2] = [1] missing"),
+])
+def test_validate_exact_messages(n, subsets, message):
+    with pytest.raises(TopologyError) as exc:
+        validate_topology(parse_family(n, subsets))
+    assert str(exc.value) == message
+
+
+def reference_space_report(top):
+    """The per-subset route: test every subset for openness and closedness."""
+    n = top.n
+    full = (1 << n) - 1
+    clopen_proper = 0
+    door = True
+    for m in range(1 << n):
+        is_o, is_c = top.is_open(m), top.is_closed(m)
+        if not is_o and not is_c:
+            door = False
+        if is_o and is_c and m not in (0, full):
+            clopen_proper += 1
+    closed_singles = tuple(p for p in range(n) if top.is_closed(1 << p))
+    return SpaceReport(
+        connected=clopen_proper == 0,
+        door=door,
+        connected_door=clopen_proper == 0 and door,
+        t1=len(closed_singles) == n,
+        open_singletons=tuple(p for p in range(n) if top.is_open(1 << p)),
+        closed_singletons=closed_singles,
+        clopen_proper_count=clopen_proper,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_space_report_matches_per_subset_reference(n):
+    for top in enumerate_topologies(n)[0]:
+        assert space_report(top) == reference_space_report(top)
 
 
 def test_report_sierpinski():
