@@ -8,7 +8,7 @@ mask.  With n capped at 6 a family always fits in a single 64-bit word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 MAX_POINTS = 6
 
@@ -57,6 +57,12 @@ def full_mask(n: int) -> int:
 
 def complement(subset: int, n: int) -> int:
     return full_mask(n) & ~subset
+
+
+def complement_family(n: int, bits: int) -> int:
+    """The family of complements of the members of `bits`.  The complement
+    of mask m is full - m, so this is the family's 2^n-bit word reversed."""
+    return int(format(bits, f"0{1 << n}b")[::-1], 2)
 
 
 def mask_from_points(points: Iterable[int], n: int) -> int:
@@ -149,11 +155,16 @@ class Family:
         return {"n": self.n, "subsets": self.to_subsets(), "hex": self.to_hex()}
 
 
-def parse_family(n: int, subsets: Sequence[Iterable[int]]) -> Family:
-    """Build a family from point lists; duplicates are collapsed."""
+def parse_family(n: int, subsets: list[list[int]]) -> Family:
+    """Build a family from point lists, as decoded from JSON; duplicates
+    are collapsed."""
     check_ground(n)
+    if not isinstance(subsets, list):
+        raise DomainError("a family must be a list of point lists")
     bits = 0
     for pts in subsets:
+        if not isinstance(pts, list) or not all(type(p) is int for p in pts):
+            raise DomainError(f"family member {pts!r} is not a list of integer points")
         bits |= 1 << mask_from_points(pts, n)
     return Family(n, bits)
 

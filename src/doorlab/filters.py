@@ -8,27 +8,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ClaimFalsified,
-    DomainError,
-    Family,
-    complement,
-    full_mask,
-    points_of,
-    popcount,
-    powerset,
-)
+    ClaimFalsified, DomainError, Family, complement_family, full_mask, points_of, popcount)
 
 
 def is_algebra(fam: Family) -> bool:
     """Closed under complement and pairwise union (and therefore contains
     the empty set and X, and is intersection-closed)."""
-    if len(fam) == 0:
+    if len(fam) == 0 or complement_family(fam.n, fam.bits) != fam.bits:
         return False
-    n = fam.n
     members = list(fam.members())
-    for u in members:
-        if complement(u, n) not in fam:
-            return False
     for i, u in enumerate(members):
         for v in members[i + 1:]:
             if (u | v) not in fam:
@@ -95,13 +83,8 @@ def is_filter(fam: Family, sigma: Family) -> bool:
 def is_ultrafilter(fam: Family, sigma: Family) -> bool:
     """A filter within sigma containing exactly one of U, U^c for every
     U in sigma."""
-    if not is_filter(fam, sigma):
-        return False
-    n = fam.n
-    for u in sigma.members():
-        if (u in fam) == (complement(u, n) in fam):
-            return False
-    return True
+    f = fam.bits
+    return is_filter(fam, sigma) and not sigma.bits & ~(f ^ complement_family(fam.n, f))
 
 
 def principal_family(p: int, sigma: Family) -> Family:
@@ -170,16 +153,11 @@ def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:
 def is_connected_door_wrt(top_family: Family, sigma: Family) -> bool:
     """Every proper nonempty member of sigma is open or closed but not both
     (openness meaning membership in top_family)."""
-    n = sigma.n
-    full = full_mask(n)
     if top_family.bits & ~sigma.bits:
         return False
-    for u in sigma.members():
-        if u in (0, full):
-            continue
-        if (u in top_family) == (complement(u, n) in top_family):
-            return False
-    return True
+    t = top_family.bits
+    proper = sigma.bits & ~(1 | (1 << full_mask(sigma.n)))
+    return not proper & ~(t ^ complement_family(sigma.n, t))
 
 
 def partitions_of(n: int) -> list[list[int]]:

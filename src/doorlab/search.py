@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import classify_connected_door, construct_topology, descriptors
-from .core import CAPS, CapabilityError, ClaimFalsified, Family, check_cap, full_mask, popcount
+from .core import (
+    CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, full_mask,
+    popcount)
 from .topology import (
     Topology,
     is_topology_bits,
-    lemma1_check,
     occ_satisfied,
     space_report,
 )
@@ -101,14 +102,11 @@ def enumerate_topologies(
     if mode == "auto":
         mode = "raw_scan" if n <= CAPS["raw_scan"] else "closure_dfs"
     start = time.monotonic()
-    if mode == "raw_scan":
-        check_cap(mode, n)
-        bits_list, scanned = _raw_scan(n)
-    elif mode == "closure_dfs":
-        check_cap(mode, n)
-        bits_list, scanned = _closure_dfs(n)
-    else:
+    if mode not in ("raw_scan", "closure_dfs"):
         raise CapabilityError(f"unknown enumeration mode {mode!r}")
+    check_cap(mode, n)
+    check_ground(n)
+    bits_list, scanned = _raw_scan(n) if mode == "raw_scan" else _closure_dfs(n)
     bits_list.sort()
     tops = [Topology(n, Family(n, b)) for b in bits_list]
     report = EnumerationReport(
@@ -137,9 +135,10 @@ def enumerate_connected_door(n: int, mode: str = "auto") -> list[Topology]:
 def enumerate_occ_door(n: int, mode: str = "auto"):
     """Door topologies satisfying OCC; each must be connected-door once the
     space has more than three points."""
+    check_cap("occ-door enumeration", n)
+    check_ground(n)
     if n < 4:
         return {"note": "OCC is vacuous below four points", "n": n}
-    check_cap("occ-door enumeration", n)
     tops, _ = enumerate_topologies(n, mode)
     out = []
     for t in tops:
@@ -250,13 +249,13 @@ def enumerate_solutions(
         raise CapabilityError(f"unknown equation {equation!r}")
     if len(set(values)) != len(values) or len(values) not in (2, 3):
         raise CapabilityError("value set must have 2 or 3 distinct members")
+    if mode not in ("brute", "modular"):
+        raise CapabilityError(f"unknown solution mode {mode!r}")
+    check_cap(f"{mode} solution scan", n)
+    check_ground(n)
     if mode == "brute":
-        check_cap("brute solution scan", n)
         return _brute_solutions(n, values, equation)
-    if mode == "modular":
-        check_cap("modular solution scan", n)
-        return _modular_solutions(n, values, equation)
-    raise CapabilityError(f"unknown solution mode {mode!r}")
+    return _modular_solutions(n, values, equation)
 
 
 def three_valued_form_bits(n: int) -> set[int]:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    ClaimFalsified, Family, complement, full_mask, points_of, popcount, subset_key)
+    ClaimFalsified, Family, complement, complement_family, full_mask, points_of, popcount,
+    subset_key)
 
 
 class TopologyError(ValueError):
@@ -98,18 +99,12 @@ class SpaceReport:
         }
 
 
-def _closed_bits(n: int, opens: int) -> int:
-    """The closed-set family.  The complement of mask m is full - m, so it
-    is the open family's 2^n-bit word reversed."""
-    return int(format(opens, f"0{1 << n}b")[::-1], 2)
-
-
 def space_report(top: Topology) -> SpaceReport:
     n = top.n
     every = (1 << (1 << n)) - 1
     ends = 1 | (1 << full_mask(n))
     o = top.opens.bits
-    c = _closed_bits(n, o)
+    c = complement_family(n, o)
     door = o | c == every
     clopen_proper = popcount(o & c & ~ends)
     connected = clopen_proper == 0
@@ -143,7 +138,7 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
     n = top.n
     opens = sorted((m for m in top.opens.members() if m), key=subset_key)
     closeds = sorted(
-        (m for m in range(1, 1 << n) if top.is_closed(m)), key=subset_key)
+        Family(n, complement_family(n, top.opens.bits) & ~1).members(), key=subset_key)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
             if a & b:
@@ -167,16 +162,18 @@ def lemma1_check(top: Topology) -> tuple[bool, tuple[int, int, int] | None]:
         raise PreconditionError("space is not a connected door space")
     n = top.n
     full = full_mask(n)
+    closed = complement_family(n, top.opens.bits)
+    closed_nonempty = list(Family(n, closed & ~1).members())
     for a in top.opens.members():
         if a == 0:
             continue
-        for b in range(1, 1 << n):
-            if not top.is_closed(b) or a & b:
+        for b in closed_nonempty:
+            if a & b:
                 continue
             rest = full & ~(a | b)
             c = rest
             while True:
-                if not top.is_open(a | c) or not top.is_closed(b | c):
+                if not top.is_open(a | c) or not (closed >> (b | c)) & 1:
                     return False, (a, b, c)
                 if c == 0:
                     break

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import filters
-from .classify import FormDescriptor, UnconstructibleError, construct_topology
+from .classify import FormDescriptor, UnconstructibleError
 from .core import (
-    DomainError, Family, check_ground, complement, full_mask, points_of, popcount)
-from .topology import Topology, TopologyError, space_report, validate_topology
+    DomainError, Family, check_ground, complement_family, full_mask, points_of, popcount)
+from .topology import TopologyError, space_report, validate_topology
 
 
 @dataclass(frozen=True)
@@ -140,21 +140,27 @@ def set_function(n: int, includes_empty: bool, table: dict[int, ExactComplex]) -
     return SetFunction(n, includes_empty, tuple(vals))
 
 
+def _valuation_witness(
+    values, members: list[int], domain_bits: int
+) -> tuple[int, int] | None:
+    """The first pair A <= B of `members` (ascending) with
+    values[A] + values[B] != values[A|B] + values[A&B], skipping pairs whose
+    intersection lies outside the family `domain_bits`; None if none."""
+    for i, a in enumerate(members):
+        fa = values[a]
+        for b in members[i:]:
+            m = a & b
+            if (domain_bits >> m) & 1 and fa + values[b] != values[a | b] + values[m]:
+                return a, b
+    return None
+
+
 def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) + f(A&B) over all pairs of the domain.  The
     witness, if any, is the lexicographically least violating (A, B)."""
-    dom = list(f.domain())
-    for a in dom:
-        fa = f.values[a]
-        for b in dom:
-            if b < a:
-                continue
-            u, i = a | b, a & b
-            if i == 0 and not f.includes_empty:
-                continue
-            if fa + f.values[b] != f.values[u] + f.values[i]:
-                return False, (a, b)
-    return True, None
+    domain_bits = (1 << (1 << f.n)) - (1 if f.includes_empty else 2)
+    witness = _valuation_witness(f.values, list(f.domain()), domain_bits)
+    return witness is None, witness
 
 
 def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
@@ -206,13 +212,18 @@ def modular_compose(p: ModularParams, includes_empty: bool = True) -> SetFunctio
     return SetFunction(p.n, includes_empty, tuple(vals))
 
 
+def preimage(values, members, v) -> int:
+    """The family bitset of the members m with values[m] == v."""
+    bits = 0
+    for m in members:
+        if values[m] == v:
+            bits |= 1 << m
+    return bits
+
+
 def induced_family(f: SetFunction, v: ExactComplex) -> Family:
     """{empty, X} together with the preimage of v."""
-    bits = 1 | (1 << full_mask(f.n))
-    for m in f.domain():
-        if f.values[m] == v:
-            bits |= 1 << m
-    return Family(f.n, bits)
+    return Family(f.n, 1 | (1 << full_mask(f.n)) | preimage(f.values, f.domain(), v))
 
 
 def extend_by_zero_at_empty(f: SetFunction) -> SetFunction:
@@ -242,12 +253,7 @@ def verify_two_valued_additive(f: SetFunction) -> dict:
         raise DomainError(f"disjoint additivity fails at pair {witness}")
 
     zero_in_values = any(v.is_zero for v in values)
-    full = full_mask(f.n)
-    fx = f.values[full]
-    pre_bits = 0
-    for m in range(1, 1 << f.n):
-        if f.values[m] == fx:
-            pre_bits |= 1 << m
+    pre_bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
     pre = Family(f.n, pre_bits)
     sigma = Family(f.n, (1 << (1 << f.n)) - 1)
     is_uf = filters.is_ultrafilter(pre, sigma)
@@ -422,12 +428,8 @@ def increasing_filter_check(f: SetFunction) -> dict:
     ok_val, _ = satisfies_valuation(f)
     report["is_valuation"] = ok_val
     if increasing and ok_val:
-        full = full_mask(f.n)
-        fx = f.values[full]
-        pre = [m for m in range(top) if f.values[m] == fx]
-        bits = 0
-        for m in pre:
-            bits |= 1 << m
+        bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
+        pre = list(Family(f.n, bits).members())
         # Intersection- and upward-closure only: a constant function's
         # preimage is the whole power set, the improper filter, and the
         # monotone-preimage fact holds in that generality.
@@ -443,20 +445,21 @@ def increasing_filter_check(f: SetFunction) -> dict:
     return report
 
 
-def lemma_two_valued_report(values: dict[int, ExactComplex], sigma: Family) -> dict:
+def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family) -> dict:
     """The three structural facts about a two-valued surjective valuation
     on an algebra: complement values split, preimages are down/up closed,
     and both preimages are union- and intersection-closed."""
     n = sigma.n
     members = list(sigma.members())
-    vset = sorted({values[m] for m in members}, key=ExactComplex.sort_key)
+    vset = {values[m] for m in members}
     if len(vset) != 2:
         raise DomainError("function is not onto a two-element value set")
-    z_pair = set(vset)
     full = full_mask(n)
 
-    split_ok = all(
-        {values[m], values[complement(m, n)]} == z_pair for m in members)
+    # Two values: m and its complement differ exactly when one of them is
+    # in the preimage of f(X).
+    upper = preimage(values, members, values[full])
+    split_ok = not sigma.bits & ~(upper ^ complement_family(n, upper))
 
     v_empty, v_full = values[0], values[full]
     down_ok = all(
@@ -470,7 +473,7 @@ def lemma_two_valued_report(values: dict[int, ExactComplex], sigma: Family) -> d
 
     closed_ok = True
     for z in vset:
-        pre = [m for m in members if values[m] == z]
+        pre = list(Family(n, preimage(values, members, z)).members())
         for i, a in enumerate(pre):
             for b in pre[i:]:
                 if values[a | b] != z or values[a & b] != z:
@@ -484,10 +487,5 @@ def lemma_two_valued_report(values: dict[int, ExactComplex], sigma: Family) -> d
     }
 
 
-def valuation_on_algebra(values: dict[int, ExactComplex], sigma: Family) -> bool:
-    members = list(sigma.members())
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if values[a] + values[b] != values[a | b] + values[a & b]:
-                return False
-    return True
+def valuation_on_algebra(values: dict[int, ExactComplex | int], sigma: Family) -> bool:
+    return _valuation_witness(values, list(sigma.members()), sigma.bits) is None

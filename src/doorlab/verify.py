@@ -19,7 +19,6 @@ from .search import (
     enumerate_topologies,
     induced_topology_survey,
     load_golden,
-    three_valued_form_bits,
 )
 from .topology import lemma1_check, occ_satisfied, space_report, validate_topology
 from .valuations import (
@@ -219,29 +218,26 @@ def verify_relative() -> dict:
     ok = True
     algebras = 0
     solutions = 0
-    z1, z2 = ec(1), ec(0)
     for n in range(2, 5):
         pw = powerset(n)
+        full = full_mask(n)
         for blocks in filters.partitions_of(n):
             sigma = filters.algebra_from_partition(n, blocks)
             algebras += 1
             members = list(sigma.members())
             ultras = {u.members.bits for u in filters.enumerate_ultrafilters(sigma)}
             seen_preimages = set()
-            for assignment in product((z1, z2), repeat=len(members)):
-                values = dict(zip(members, assignment))
-                if len(set(assignment)) != 2:
-                    continue
+            # A function onto {1, 0} is the indicator of a proper nonempty
+            # subfamily p of sigma.
+            p = sigma.bits
+            while p := (p - 1) & sigma.bits:
+                values = {m: (p >> m) & 1 for m in members}
                 if not valuation_on_algebra(values, sigma):
                     continue
                 solutions += 1
                 if not lemma_two_valued_report(values, sigma)["ok"]:
                     ok = False
-                fx = values[full_mask(n)]
-                pre_bits = 0
-                for m in members:
-                    if values[m] == fx:
-                        pre_bits |= 1 << m
+                pre_bits = p if (p >> full) & 1 else sigma.bits & ~p
                 pre = Family(n, pre_bits)
                 if not filters.is_ultrafilter(pre, sigma):
                     ok = False

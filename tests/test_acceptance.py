@@ -15,9 +15,17 @@ TIME_CAPS = {
     "thm4": 60.0,
     "thm3": 120.0,
     "part2-constructions": 60.0,
-    "relative-s1-s3": 30.0,
+    "relative-s1-s3": 10.0,
     "remarks": 30.0,
     "infrastructure": 60.0,
+}
+
+# Answers known independently of the engine.  relative-s1-s3 scans one
+# algebra per partition of 2, 3 and 4 points (Bell numbers 2 + 5 + 15), and
+# each algebra has one two-valued valuation per ultrafilter and sign, so
+# twice its number of blocks.
+KNOWN_ANSWERS = {
+    "relative-s1-s3": {"algebras": 22, "solutions": 100},
 }
 
 
@@ -30,4 +38,6 @@ def test_acceptance(criterion, capsys):
     with capsys.disabled():
         print(f"[{status}] {criterion} ({elapsed:.2f}s)")
     assert report["ok"], report
+    for key, expected in KNOWN_ANSWERS.get(criterion, {}).items():
+        assert report[key] == expected, (key, report[key])
     assert elapsed < TIME_CAPS[criterion], f"{criterion} too slow: {elapsed:.1f}s"

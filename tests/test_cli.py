@@ -55,6 +55,27 @@ def test_check_invalid_family(capsys):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("family", ["5", "[null]", "[[0.5]]", '[[0,"a"]]', "[[true]]", '{"a":1}'])
+def test_check_malformed_family_is_usage_error(capsys, family):
+    code, out, err = capture(capsys, ["check", "--n", "2", "--family", family])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "0", "--values", "0,1"],
+    ["solve", "--n", "-2", "--values", "0,1", "--mode", "modular"],
+    ["enumerate", "--what", "topologies", "--n", "-1"],
+    ["enumerate", "--what", "occ-door", "--n", "0"],
+])
+def test_ground_set_below_one_point_is_usage_error(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "ground set size" in err
+
+
 def test_classify_form3(capsys):
     code, out, _ = capture(capsys, [
         "classify", "--n", "4", "--family", "[[],[2],[3],[2,3],[0,1,2,3]]"])

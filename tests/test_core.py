@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from doorlab.core import (
     DomainError,
     Family,
+    complement_family,
     compress_mask,
     expand_mask,
     full_mask,
@@ -23,6 +24,18 @@ def test_parse_family_sierpinski():
 def test_parse_family_dedup():
     fam = parse_family(3, [[0, 1], [0, 1]])
     assert list(fam.members()) == [0b011]
+
+
+def reference_complement_family(n, bits):
+    """Per-mask definition: m is a member iff its complement is in bits."""
+    full = full_mask(n)
+    return sum(1 << m for m in range(1 << n) if (bits >> (full & ~m)) & 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complement_family_matches_per_mask_definition(n):
+    for bits in range(1 << (1 << n)):
+        assert complement_family(n, bits) == reference_complement_family(n, bits)
 
 
 def test_parse_family_out_of_range():

@@ -1,11 +1,14 @@
 import pytest
 
-from doorlab.core import DomainError, Family, parse_family, powerset, restrict_family
+from doorlab.core import (
+    DomainError, Family, complement, full_mask, parse_family, powerset, restrict_family)
 from doorlab.filters import (
     algebra_from_partition,
     atoms_of_algebra,
     enumerate_ultrafilters,
     is_algebra,
+    is_connected_door_wrt,
+    is_filter,
     is_ultrafilter,
     partitions_of,
     principal_ultrafilter,
@@ -113,9 +116,49 @@ def test_restrict_principal_ultrafilter():
 
 
 def test_exactly_one_of_u_or_complement():
-    from doorlab.core import complement
     for n in (2, 3):
         sigma = powerset(n)
         for u in enumerate_ultrafilters(sigma):
             for m in sigma.members():
                 assert (m in u.members) != (complement(m, n) in u.members)
+
+
+# Per-member loops: the reference routes for the bitset complement tests.
+
+def reference_is_algebra(fam):
+    if len(fam) == 0:
+        return False
+    members = list(fam.members())
+    if any(complement(u, fam.n) not in fam for u in members):
+        return False
+    return all((u | v) in fam for i, u in enumerate(members) for v in members[i + 1:])
+
+
+def reference_is_ultrafilter(fam, sigma):
+    if not is_filter(fam, sigma):
+        return False
+    return all((u in fam) != (complement(u, fam.n) in fam) for u in sigma.members())
+
+
+def reference_is_connected_door_wrt(top_family, sigma):
+    n = sigma.n
+    if top_family.bits & ~sigma.bits:
+        return False
+    return all((u in top_family) != (complement(u, n) in top_family)
+               for u in sigma.members() if u not in (0, full_mask(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complement_predicates_match_per_member_loops(n):
+    for blocks in partitions_of(n):
+        sigma = algebra_from_partition(n, blocks)
+        sub = sigma.bits
+        while True:
+            fam = Family(n, sub)
+            assert is_algebra(fam) == reference_is_algebra(fam)
+            assert is_ultrafilter(fam, sigma) == reference_is_ultrafilter(fam, sigma)
+            assert (is_connected_door_wrt(fam, sigma)
+                    == reference_is_connected_door_wrt(fam, sigma))
+            if sub == 0:
+                break
+            sub = (sub - 1) & sigma.bits

@@ -14,3 +14,27 @@ def test_no_assert_in_src():
     ]
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_no_unused_imports_in_src():
+    """Every name a module imports is used in it or re-exported by its
+    __all__."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            targets = getattr(node, "targets", [])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in sorted(imported.items()) if name not in used]
+    assert found == []

@@ -1,7 +1,7 @@
 import pytest
 
 from doorlab.classify import FormDescriptor, construct_topology
-from doorlab.core import Family, parse_family, powerset
+from doorlab.core import Family, parse_family, powerset, subset_key
 from doorlab.search import enumerate_connected_door, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
@@ -102,6 +102,45 @@ def test_occ_discrete_n4_witness():
     ok, witness = occ_satisfied(discrete(4))
     assert not ok
     assert witness == (0b0001, 0b0010, 0b0100, 0b1000)
+
+
+def reference_occ_satisfied(top):
+    """Closed sets found by testing every subset, kept as the reference
+    route."""
+    opens = sorted((m for m in top.opens.members() if m), key=subset_key)
+    closeds = sorted((m for m in range(1, 1 << top.n) if top.is_closed(m)), key=subset_key)
+    for ia, a in enumerate(opens):
+        for b in opens[ia + 1:]:
+            for ic, c in enumerate(closeds):
+                for d in closeds[ic + 1:]:
+                    if not (a & b or (a | b) & c or (a | b | c) & d):
+                        return False, (a, b, c, d)
+    return True, None
+
+
+def reference_lemma1_check(top):
+    full = (1 << top.n) - 1
+    for a in top.opens.members():
+        for b in range(1, 1 << top.n):
+            if a == 0 or not top.is_closed(b) or a & b:
+                continue
+            rest = full & ~(a | b)
+            for c in range(rest, -1, -1):
+                if c & ~rest == 0 and not (top.is_open(a | c) and top.is_closed(b | c)):
+                    return False, (a, b, c)
+    return True, None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_occ_matches_per_subset_reference(n):
+    for top in enumerate_topologies(n)[0]:
+        assert occ_satisfied(top) == reference_occ_satisfied(top)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lemma1_matches_per_subset_reference(n):
+    for top in enumerate_connected_door(n):
+        assert lemma1_check(top) == reference_lemma1_check(top)
 
 
 def test_occ_excluded_point_n4():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doorlab.classify import FormDescriptor, UnconstructibleError, construct_topology
-from doorlab.core import DomainError, popcount, powerset
-from doorlab.filters import algebra_from_partition
+from doorlab.core import DomainError, complement, popcount, powerset
+from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.valuations import (
     EC_ZERO,
     ExactComplex,
@@ -65,6 +65,34 @@ class TestExactComplex:
             assert parse_value(str(v)) == v
 
 
+def reference_satisfies_valuation(f):
+    """The pair loop over the domain, kept as the reference route."""
+    dom = list(f.domain())
+    for a in dom:
+        for b in dom:
+            if b < a or (a & b == 0 and not f.includes_empty):
+                continue
+            if f.values[a] + f.values[b] != f.values[a | b] + f.values[a & b]:
+                return False, (a, b)
+    return True, None
+
+
+@st.composite
+def near_modular_functions(draw):
+    """A modular function, with one value sometimes overwritten, so that
+    both valuations and witnesses anywhere in the pair order occur."""
+    n = draw(st.integers(1, 3))
+    small = st.sampled_from([ec(-1), ec(0), ec(1)])
+    f = modular_compose(
+        ModularParams(n, draw(small), tuple(draw(small) for _ in range(n))),
+        includes_empty=draw(st.booleans()))
+    if draw(st.booleans()):
+        vals = list(f.values)
+        vals[draw(st.integers(0, (1 << n) - 1))] = draw(small)
+        f = SetFunction(n, f.includes_empty, tuple(vals))
+    return f
+
+
 class TestValuation:
     def test_cardinality_is_modular(self):
         assert satisfies_valuation(cardinality_fn(3))[0]
@@ -79,6 +107,10 @@ class TestValuation:
         ok, witness = satisfies_valuation(SetFunction(3, True, vals))
         assert not ok
         assert witness == (0b001, 0b010)
+
+    @given(near_modular_functions())
+    def test_witness_matches_reference_loop(self, f):
+        assert satisfies_valuation(f) == reference_satisfies_valuation(f)
 
 
 class TestDisjointAdditivity:
@@ -304,6 +336,46 @@ class TestAlgebraRelative:
         values = {m: ec(1) for m in range(4)}
         with pytest.raises(DomainError):
             lemma_two_valued_report(values, sigma)
+
+
+def reference_lemma_two_valued_report(values, sigma):
+    """The member loops of the two-valued lemma, kept as the reference
+    route."""
+    n = sigma.n
+    members = list(sigma.members())
+    z_pair = {values[m] for m in members}
+    split_ok = all({values[m], values[complement(m, n)]} == z_pair for m in members)
+    v_empty, v_full = values[0], values[(1 << n) - 1]
+    down_ok = all(values[a] == v_empty for y in members if values[y] == v_empty
+                  for a in members if a & ~y == 0)
+    up_ok = all(values[v] == v_full for u in members if values[u] == v_full
+                for v in members if u & ~v == 0)
+    closed_ok = all(values[a | b] == z and values[a & b] == z
+                    for z in z_pair
+                    for a in members if values[a] == z
+                    for b in members if values[b] == z)
+    return {
+        "complement_split": split_ok,
+        "down_up_closed": down_ok and up_ok,
+        "preimages_lattice_closed": closed_ok,
+        "ok": split_ok and down_ok and up_ok and closed_ok,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma_report_same_for_int_and_exact_values(n):
+    # Every function onto {1, 0} on every block algebra, valuation or not.
+    for blocks in partitions_of(n):
+        sigma = algebra_from_partition(n, blocks)
+        members = list(sigma.members())
+        p = sigma.bits
+        while p := (p - 1) & sigma.bits:
+            ints = {m: (p >> m) & 1 for m in members}
+            exact = {m: ec(v) for m, v in ints.items()}
+            report = lemma_two_valued_report(ints, sigma)
+            assert report == lemma_two_valued_report(exact, sigma)
+            assert report == reference_lemma_two_valued_report(exact, sigma)
+            assert valuation_on_algebra(ints, sigma) == valuation_on_algebra(exact, sigma)
 
 
 class TestHomogeneity:
