@@ -71,6 +71,11 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def _require_given(d: FormDescriptor, *names: str) -> None:
+    for name in names:
+        _require(getattr(d, name) is not None, f"parameter {name} missing")
+
+
 def construct_topology(d: FormDescriptor, n: int) -> Topology:
     full = full_mask(n)
     k = d.kind
@@ -80,7 +85,8 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
             "unconstructible: free ultrafilters do not exist on finite sets")
 
     if k == "ExcludedPoint":
-        _require(d.a is not None and 0 <= d.a < n, "parameter a out of range")
+        _require_given(d, "a")
+        _require(0 <= d.a < n, "parameter a out of range")
         bits = 1 << full
         for m in range(1 << n):
             if not (m >> d.a) & 1:
@@ -88,8 +94,9 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         return validate_topology(Family(n, bits))
 
     if k in ("IncludedPoint", "UltrafilterType"):
+        _require_given(d, "a" if k == "IncludedPoint" else "seed")
         point = d.a if k == "IncludedPoint" else d.seed
-        _require(point is not None and 0 <= point < n, "parameter out of range")
+        _require(0 <= point < n, "parameter out of range")
         bits = 1  # empty set
         for m in range(1 << n):
             if (m >> point) & 1:
@@ -97,8 +104,10 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         return validate_topology(Family(n, bits))
 
     if k in ("Form1A", "Form1B"):
-        _require(d.a is not None and 0 <= d.a < n, "parameter a out of range")
-        _require(d.seed is not None and 0 <= d.seed < n and d.seed != d.a,
+        _require_given(d, "a")
+        _require(0 <= d.a < n, "parameter a out of range")
+        _require_given(d, "seed")
+        _require(0 <= d.seed < n and d.seed != d.a,
                  "seed must be a point distinct from a")
         bits = 1 | (1 << full)
         for m in range(1 << n):
@@ -111,8 +120,8 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         return validate_topology(Family(n, bits))
 
     if k == "Form3":
-        _require(d.a is not None and d.b is not None and d.a != d.b
-                 and 0 <= d.a < n and 0 <= d.b < n, "need distinct points a, b")
+        _require_given(d, "a", "b")
+        _require(d.a != d.b and 0 <= d.a < n and 0 <= d.b < n, "need distinct points a, b")
         avoid = (1 << d.a) | (1 << d.b)
         bits = 1 << full
         for m in range(1 << n):
@@ -121,10 +130,12 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         return validate_topology(Family(n, bits))
 
     if k == "T2Shape":
-        _require(d.A is not None and 0 < d.A < full, "A must be proper nonempty")
-        _require(d.p is not None and (d.A >> d.p) & 1, "p must lie in A")
-        _require(d.q is not None and 0 <= d.q < n and not (d.A >> d.q) & 1,
-                 "q must lie outside A")
+        _require_given(d, "A")
+        _require(0 < d.A < full, "A must be proper nonempty")
+        _require_given(d, "p")
+        _require((d.A >> d.p) & 1, "p must lie in A")
+        _require_given(d, "q")
+        _require(0 <= d.q < n and not (d.A >> d.q) & 1, "q must lie outside A")
         need = (1 << d.p) | (1 << d.q)
         bits = 1 | (1 << full)
         for m in range(1 << n):

@@ -127,7 +127,14 @@ def run(argv: list[str]) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    try:
+        return _run_verb(args)
+    except OSError as exc:  # e.g. an unwritable --out path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run_verb(args) -> int:
     try:
         if args.verb == "construct":
             result = construct_topology(_descriptor_from_args(args), args.n)

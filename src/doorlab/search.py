@@ -28,6 +28,7 @@ from .valuations import (
     SetFunction,
     ec,
     induced_family,
+    int_codes,
     modular_compose,
 )
 
@@ -159,13 +160,19 @@ def _canonical_solution_order(sols: list[SetFunction]) -> list[SetFunction]:
 def _brute_solutions(
     n: int, values: list[ExactComplex], equation: str
 ) -> list[SetFunction]:
+    """Depth-first assignment in mask order, pruned by the equation on every
+    pair below the current mask.  The pairs are identities of at most four
+    terms, so they run on the integer codes of `values`; each solution is
+    built from the original values."""
     top = 1 << n
-    value_set = set(values)
+    codes = int_codes(values)
+    code_set = set(codes)
     first = 0 if equation == "eq2" else 1
-    assigned: list[ExactComplex] = [EC_ZERO] * top
+    assigned = [0] * top
+    chosen: list[ExactComplex] = [EC_ZERO] * top
     out: list[SetFunction] = []
 
-    def consistent(m: int, cand: ExactComplex) -> bool:
+    def consistent(m: int, cand: int) -> bool:
         if equation == "eq1_disjoint":
             if popcount(m) < 2:
                 return True
@@ -194,15 +201,14 @@ def _brute_solutions(
 
     def dfs(m: int) -> None:
         if m == top:
-            used = {assigned[i] for i in range(first, top)}
-            if used == value_set:
-                out.append(SetFunction(n, equation == "eq2", tuple(assigned)))
+            if set(assigned[first:]) == code_set:
+                out.append(SetFunction(n, equation == "eq2", tuple(chosen)))
             return
-        for cand in values:
+        for cand, value in zip(codes, values):
             assigned[m] = cand
+            chosen[m] = value
             if consistent(m, cand):
                 dfs(m + 1)
-        assigned[m] = EC_ZERO
 
     dfs(first)
     return _canonical_solution_order(out)

@@ -6,10 +6,13 @@ Two identities are checked throughout:
   valuation             f(A) + f(B) = f(A|B) + f(A&B) (all A, B)
 
 Values are exact complex rationals; no floating point is used anywhere.
+They stay `ExactComplex` at the API and JSON boundary, and every identity
+loop runs on the exact integer codes of `int_codes`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,6 +143,29 @@ def set_function(n: int, includes_empty: bool, table: dict[int, ExactComplex]) -
     return SetFunction(n, includes_empty, tuple(vals))
 
 
+def int_codes(values) -> list[int]:
+    """Exact integer codes of a list of `ExactComplex` values.
+
+    With d the lcm of every `re` and `im` denominator, r = re*d and
+    i = im*d are ints, and the code is r + B*i with B = 1 + 8*max|r| (just
+    r when no value has an imaginary part).  The map is additive over the
+    integers.  For an identity sum c_j*v_j = 0 with integer coefficients and
+    sum |c_j| <= 8, the code of the left side is R + B*I with
+    R = sum c_j*r_j and I = sum c_j*i_j, and |R| <= 8*max|r| < B; so it is 0
+    exactly when R = I = 0, that is, exactly when the identity holds on the
+    values.  The denominators are read in list passes: hashing `Fraction`s
+    would cost more than the checks the codes speed up.
+    """
+    res = [v.re for v in values]
+    ims = [v.im for v in values]
+    d = math.lcm(*[q.denominator for q in res], *[q.denominator for q in ims])
+    r = [q.numerator * (d // q.denominator) for q in res]
+    if not any(q.numerator for q in ims):
+        return r
+    base = 1 + 8 * max(map(abs, r))
+    return [x + base * (q.numerator * (d // q.denominator)) for x, q in zip(r, ims)]
+
+
 def _valuation_witness(
     values, members: list[int], domain_bits: int
 ) -> tuple[int, int] | None:
@@ -157,21 +183,24 @@ def _valuation_witness(
 
 def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) + f(A&B) over all pairs of the domain.  The
-    witness, if any, is the lexicographically least violating (A, B)."""
+    witness, if any, is the lexicographically least violating (A, B).  Each
+    pair is a four-term identity, so it is checked on the integer codes."""
     domain_bits = (1 << (1 << f.n)) - (1 if f.includes_empty else 2)
-    witness = _valuation_witness(f.values, list(f.domain()), domain_bits)
+    witness = _valuation_witness(int_codes(f.values), list(f.domain()), domain_bits)
     return witness is None, witness
 
 
 def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
-    """f(A) + f(B) = f(A|B) for disjoint nonempty A, B."""
+    """f(A) + f(B) = f(A|B) for disjoint nonempty A, B, checked on the
+    integer codes (three terms)."""
     top = 1 << f.n
+    v = int_codes(f.values)
     for a in range(1, top):
-        fa = f.values[a]
+        fa = v[a]
         for b in range(a + 1, top):
             if a & b:
                 continue
-            if fa + f.values[b] != f.values[a | b]:
+            if fa + v[b] != v[a | b]:
                 return False, (a, b)
     return True, None
 
@@ -202,13 +231,11 @@ def modular_decompose(f: SetFunction) -> ModularParams:
 
 
 def modular_compose(p: ModularParams, includes_empty: bool = True) -> SetFunction:
-    vals = []
-    for m in range(1 << p.n):
-        v = p.c
-        for x in range(p.n):
-            if (m >> x) & 1:
-                v = v + p.weights[x]
-        vals.append(v)
+    """f(m) = f(m minus its lowest point) + the weight of that point: one
+    exact add per mask."""
+    vals = [p.c] * (1 << p.n)
+    for m in range(1, 1 << p.n):
+        vals[m] = vals[m & (m - 1)] + p.weights[(m & -m).bit_length() - 1]
     return SetFunction(p.n, includes_empty, tuple(vals))
 
 
@@ -389,11 +416,12 @@ def form1a_pair_subcase(a: int, seed: int, A: int, B: int) -> int:
 
 
 def check_inclusion_exclusion3(f: SetFunction) -> bool:
-    """Three-set inclusion-exclusion identity over all triples."""
+    """Three-set inclusion-exclusion identity over all triples, checked on
+    the integer codes (eight terms)."""
     if not f.includes_empty:
         raise DomainError("identity ranges over the full power set")
     top = 1 << f.n
-    v = f.values
+    v = int_codes(f.values)
     for a in range(top):
         for b in range(a, top):
             for c in range(b, top):

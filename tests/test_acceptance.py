@@ -14,9 +14,9 @@ TIME_CAPS = {
     "thm2": 5.0,
     "thm4": 60.0,
     "thm3": 120.0,
-    "part2-constructions": 60.0,
+    "part2-constructions": 5.0,
     "relative-s1-s3": 10.0,
-    "remarks": 30.0,
+    "remarks": 5.0,
     "infrastructure": 60.0,
 }
 

@@ -131,6 +131,44 @@ def test_out_file(tmp_path, capsys):
     assert [0] in doc["opens"]
 
 
+def test_unwritable_out_is_usage_error(tmp_path):
+    # A directory that does not exist: open() raises FileNotFoundError.
+    target = tmp_path / "missing" / "x.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "doorlab.cli", "--out", str(target),
+         "check", "--n", "1", "--family", "[[],[0]]"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("form, params, missing", [
+    ("excluded-point", [], "a"),
+    ("included-point", [], "a"),
+    ("ultrafilter", [], "seed"),
+    ("form1a", ["--seed", "1"], "a"),
+    ("form1a", ["--a", "0"], "seed"),
+    ("form1b", ["--seed", "1"], "a"),
+    ("form1b", ["--a", "0"], "seed"),
+    ("form3", ["--b", "1"], "a"),
+    ("form3", ["--a", "0"], "b"),
+    ("t2", [], "A"),
+    ("t2", ["--A", "0", "--q", "1"], "p"),
+    ("t2", ["--p", "0"], "q"),
+])
+def test_construct_missing_parameter_is_named(capsys, form, params, missing):
+    code, out, err = capture(capsys, [
+        "construct", "--form", form, "--n", "3", *params])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parameter {missing} missing\n"
+
+
 def test_unknown_option_rejected(capsys):
     code = run(["solve", "--n", "3", "--values", "0,1", "--frobnicate"])
     assert code == 2

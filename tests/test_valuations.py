@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from doorlab.classify import FormDescriptor, UnconstructibleError, construct_topology
 from doorlab.core import DomainError, complement, popcount, powerset
 from doorlab.filters import algebra_from_partition, partitions_of
+from doorlab.search import enumerate_solutions
 from doorlab.valuations import (
     EC_ZERO,
     ExactComplex,
@@ -20,6 +21,7 @@ from doorlab.valuations import (
     form1a_pair_subcase,
     increasing_filter_check,
     induced_family,
+    int_codes,
     lemma_two_valued_report,
     modular_compose,
     modular_decompose,
@@ -77,18 +79,48 @@ def reference_satisfies_valuation(f):
     return True, None
 
 
+def reference_disjoint_additivity(f):
+    """The ExactComplex pair loop, kept as the reference route."""
+    top = 1 << f.n
+    for a in range(1, top):
+        for b in range(a + 1, top):
+            if not a & b and f.values[a] + f.values[b] != f.values[a | b]:
+                return False, (a, b)
+    return True, None
+
+
+def reference_inclusion_exclusion3(f):
+    """The ExactComplex triple loop, kept as the reference route."""
+    top = 1 << f.n
+    v = f.values
+    return all(
+        v[a | b | c] == (v[a] + v[b] + v[c] - v[a & b] - v[b & c] - v[a & c]
+                         + v[a & b & c])
+        for a in range(top) for b in range(a, top) for c in range(b, top))
+
+
+SMALL_INTS = st.sampled_from([ec(-1), ec(0), ec(1)])
+
+# Small Gaussian rationals: both parts in {0, +-1/3, +-1/2, +-2/3, +-1, +-3/2, +-2}.
+_PARTS = sorted({Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)
+                 if abs(Fraction(k, d)) <= 2})
+GAUSSIAN_RATIONALS = st.builds(ExactComplex, st.sampled_from(_PARTS),
+                               st.sampled_from(_PARTS))
+
+
 @st.composite
-def near_modular_functions(draw):
+def near_modular_functions(draw, values=SMALL_INTS, includes_empty=st.booleans(),
+                           constant=None):
     """A modular function, with one value sometimes overwritten, so that
     both valuations and witnesses anywhere in the pair order occur."""
     n = draw(st.integers(1, 3))
-    small = st.sampled_from([ec(-1), ec(0), ec(1)])
+    c = draw(values if constant is None else constant)
     f = modular_compose(
-        ModularParams(n, draw(small), tuple(draw(small) for _ in range(n))),
-        includes_empty=draw(st.booleans()))
+        ModularParams(n, c, tuple(draw(values) for _ in range(n))),
+        includes_empty=draw(includes_empty))
     if draw(st.booleans()):
         vals = list(f.values)
-        vals[draw(st.integers(0, (1 << n) - 1))] = draw(small)
+        vals[draw(st.integers(0, (1 << n) - 1))] = draw(values)
         f = SetFunction(n, f.includes_empty, tuple(vals))
     return f
 
@@ -112,6 +144,10 @@ class TestValuation:
     def test_witness_matches_reference_loop(self, f):
         assert satisfies_valuation(f) == reference_satisfies_valuation(f)
 
+    @given(near_modular_functions(GAUSSIAN_RATIONALS))
+    def test_gaussian_rationals_match_reference_loop(self, f):
+        assert satisfies_valuation(f) == reference_satisfies_valuation(f)
+
 
 class TestDisjointAdditivity:
     def test_weight_sums(self):
@@ -128,6 +164,11 @@ class TestDisjointAdditivity:
         vals = tuple(ec(1) for _ in range(4))
         ok, witness = satisfies_disjoint_additivity(SetFunction(2, False, vals))
         assert not ok and witness == (0b01, 0b10)
+
+    @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(False),
+                                  constant=st.one_of(st.just(EC_ZERO), GAUSSIAN_RATIONALS)))
+    def test_gaussian_rationals_match_reference_loop(self, f):
+        assert satisfies_disjoint_additivity(f) == reference_disjoint_additivity(f)
 
 
 class TestModular:
@@ -298,6 +339,34 @@ class TestInclusionExclusion:
         f = modular_compose(ModularParams(3, ec(1), (ec(-1), ec(1), ec(0))))
         assert check_inclusion_exclusion3(f)
 
+    @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(True)))
+    def test_gaussian_rationals_match_reference_loop(self, f):
+        assert check_inclusion_exclusion3(f) == reference_inclusion_exclusion3(f)
+
+
+class TestIntCodes:
+    def test_codes_separate_real_and_imaginary_parts(self):
+        # f is 1 on {0}, i on {0, 1} and 0 elsewhere.  With B = 1 the codes
+        # r + i would be the indicator of point 0, a modular function, so
+        # all three identities would hold on them; they fail on f.
+        values = (EC_ZERO, ec(1), EC_ZERO, ec(0, 1))
+        naive = SetFunction(2, True, tuple(ec(v.re + v.im) for v in values))
+        assert naive.values == indicator_fn(2, 0).values
+        assert satisfies_valuation(naive)[0]
+        assert satisfies_disjoint_additivity(SetFunction(2, False, naive.values))[0]
+        assert check_inclusion_exclusion3(naive)
+
+        assert int_codes(values) == [0, 1, 0, 9]
+        f = SetFunction(2, True, values)
+        assert satisfies_valuation(f) == (False, (0b01, 0b10))
+        assert satisfies_disjoint_additivity(
+            SetFunction(2, False, values)) == (False, (0b01, 0b10))
+        assert not check_inclusion_exclusion3(f)
+
+    def test_common_denominator(self):
+        assert int_codes([ec("1/2"), ec("-1/3"), ec(2)]) == [3, -2, 12]
+        assert int_codes([ec("1/2", "1/3"), EC_ZERO]) == [3 + 25 * 2, 0]
+
 
 class TestIncreasing:
     def test_cardinality_filter(self):
@@ -400,3 +469,48 @@ def test_set_function_constructor_and_json():
     doc = f.to_json()
     assert doc["n"] == 3 and not doc["includes_empty"]
     assert doc["values"][0] == {"set": [0], "re": "1", "im": "0"}
+
+
+def reference_brute_solutions(n, values, equation):
+    """Every assignment in mask order with ExactComplex sums, pruned by
+    the equation on every pair below the current mask: the reference route
+    for the brute scan on integer codes."""
+    top = 1 << n
+    first = 0 if equation == "eq2" else 1
+    assigned = [EC_ZERO] * top
+    out = []
+
+    def consistent(m):
+        for a in range(1, m):
+            for b in range(a, m):
+                if a | b != m:
+                    continue
+                if equation == "eq1_disjoint":
+                    if not a & b and assigned[a] + assigned[b] != assigned[m]:
+                        return False
+                elif assigned[a] + assigned[b] != assigned[m] + assigned[a & b]:
+                    return False
+        return True
+
+    def dfs(m):
+        if m == top:
+            if set(assigned[first:]) == set(values):
+                out.append(SetFunction(n, equation == "eq2", tuple(assigned)))
+            return
+        for v in values:
+            assigned[m] = v
+            if consistent(m):
+                dfs(m + 1)
+
+    dfs(first)
+    return sorted(out, key=lambda f: tuple(v.sort_key() for v in f.values))
+
+
+@pytest.mark.parametrize("equation", ["eq1_disjoint", "eq2"])
+@pytest.mark.parametrize("values", [
+    "0,1", "-1,0,1", "0,1,2", "0,1/2", "0,i", "-2,0,2"])
+def test_brute_solutions_match_reference_scan(equation, values):
+    vals = [parse_value(v) for v in values.split(",")]
+    for n in (1, 2, 3):
+        assert (enumerate_solutions(n, vals, equation, "brute")
+                == reference_brute_solutions(n, vals, equation))
