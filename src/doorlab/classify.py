@@ -130,6 +130,7 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         return validate_topology(Family(n, bits))
 
     if k == "T2Shape":
+        _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
         _require_given(d, "A")
         _require(0 < d.A < full, "A must be proper nonempty")
         _require_given(d, "p")

@@ -54,7 +54,7 @@ def _descriptor_from_args(args) -> FormDescriptor:
     A = None
     if args.A is not None:
         A = mask_from_points([int(x) for x in args.A.split(",") if x != ""], args.n)
-    elif kind == "T2Shape" and args.p is not None:
+    elif kind == "T2Shape" and args.p is not None and args.p >= 0:
         A = 1 << args.p
     return FormDescriptor(kind, a=args.a, b=args.b, seed=args.seed,
                           A=A, p=args.p, q=args.q)

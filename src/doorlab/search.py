@@ -61,26 +61,17 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     that are closed under pairwise union and intersection.  Each closed
     family has a unique increasing canonical generator chain; a branch is
     pruned when closure creates a new element below the current generator.
+
+    For a sublattice L of 2^X holding the empty set and X, the sublattice
+    generated by L and m is {a | (b & m) : a, b in L}: it holds L and m, and
+    is closed by distributivity.  Each u & m != m, u in L, is a proper
+    subset of m and so lies below m; the branch is pruned if L lacks one.
+    If L has them all, each a | (b & m) is in L or is a | m >= m, so nothing
+    new lies below m and the closure is L together with {u | m : u in L}.
     """
     full = full_mask(n)
     results: list[int] = []
     visited = 0
-
-    def close_with(bits: int, members: list[int], m: int) -> tuple[int, list[int]] | None:
-        new_bits = bits | (1 << m)
-        mem = list(members)
-        queue = [m]
-        while queue:
-            x = queue.pop()
-            for u in mem:
-                for y in (u | x, u & x):
-                    if not (new_bits >> y) & 1:
-                        if y < m:
-                            return None
-                        new_bits |= 1 << y
-                        queue.append(y)
-            mem.append(x)
-        return new_bits, mem
 
     def dfs(bits: int, members: list[int], last: int) -> None:
         nonlocal visited
@@ -89,9 +80,18 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
         for m in range(last + 1, full):
             if (bits >> m) & 1:
                 continue
-            nxt = close_with(bits, members, m)
-            if nxt is not None:
-                dfs(nxt[0], nxt[1], m)
+            for u in members:
+                t = u & m
+                if t != m and not (bits >> t) & 1:
+                    break
+            else:
+                new_bits, mem = bits, list(members)
+                for u in members:
+                    y = u | m
+                    if not (new_bits >> y) & 1:
+                        new_bits |= 1 << y
+                        mem.append(y)
+                dfs(new_bits, mem, m)
 
     dfs(1 | (1 << full), [0, full], 0)
     return results, visited

@@ -282,14 +282,14 @@ def verify_remarks() -> dict:
                     inc_ok = False
     # Weight route on four points: every valuation with range inside
     # {0, 1, 2} is a weight sum, so scanning constants and weights in the
-    # difference range covers them all.
-    candidates = [ec(k) for k in range(-2, 3)]
-    allowed = {ec(0), ec(1), ec(2)}
-    for c in (ec(0), ec(1), ec(2)):
-        for ws in product(candidates, repeat=4):
-            f = modular_compose(ModularParams(4, c, ws))
-            if not {v for v in f.values} <= allowed:
+    # difference range covers them all.  The values c + (a subset sum of ws)
+    # span c + (the negative weights) to c + (the positive weights), ends
+    # included, so the range test runs on plain ints before composing.
+    for c in range(3):
+        for ws in product(range(-2, 3), repeat=4):
+            if c + sum(w for w in ws if w < 0) < 0 or c + sum(w for w in ws if w > 0) > 2:
                 continue
+            f = modular_compose(ModularParams(4, ec(c), tuple(ec(w) for w in ws)))
             rep = increasing_filter_check(f)
             checked_inc += 1
             if not rep["ok"]:

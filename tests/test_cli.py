@@ -169,6 +169,19 @@ def test_construct_missing_parameter_is_named(capsys, form, params, missing):
     assert err == f"error: parameter {missing} missing\n"
 
 
+@pytest.mark.parametrize("params", [
+    ["--A", "0", "--p", "-1", "--q", "1"],
+    ["--p", "-1", "--q", "1"],
+])
+def test_construct_t2_negative_p_is_named(capsys, params):
+    code, out, err = capture(capsys, [
+        "construct", "--form", "t2", "--n", "3", *params])
+    assert code == 2
+    assert out == ""
+    assert err == "error: p must lie in A\n"
+    assert "negative shift count" not in err
+
+
 def test_unknown_option_rejected(capsys):
     code = run(["solve", "--n", "3", "--values", "0,1", "--frobnicate"])
     assert code == 2

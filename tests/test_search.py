@@ -10,6 +10,7 @@ from doorlab.search import (
     enumerate_topologies,
     induced_topology_survey,
     load_golden,
+    _closure_dfs,
 )
 from doorlab.valuations import ec
 
@@ -30,6 +31,92 @@ def test_mode_agreement_topologies(n):
     raw = [t.opens.bits for t in enumerate_topologies(n, "raw_scan")[0]]
     dfs = [t.opens.bits for t in enumerate_topologies(n, "closure_dfs")[0]]
     assert raw == dfs
+
+
+def reference_close_with(bits, members, m):
+    """The BFS closure the DFS used before the sublattice identity: add m,
+    then every union and meet with a member until nothing is new; None as
+    soon as a new set lies below m."""
+    new_bits = bits | (1 << m)
+    mem = list(members)
+    queue = [m]
+    while queue:
+        x = queue.pop()
+        for u in mem:
+            for y in (u | x, u & x):
+                if not (new_bits >> y) & 1:
+                    if y < m:
+                        return None
+                    new_bits |= 1 << y
+                    queue.append(y)
+        mem.append(x)
+    return new_bits, mem
+
+
+def reference_closure_dfs(n):
+    full = (1 << n) - 1
+    results = []
+    visited = 0
+
+    def dfs(bits, members, last):
+        nonlocal visited
+        visited += 1
+        results.append(bits)
+        for m in range(last + 1, full):
+            if (bits >> m) & 1:
+                continue
+            nxt = reference_close_with(bits, members, m)
+            if nxt is not None:
+                dfs(nxt[0], nxt[1], m)
+
+    dfs(1 | (1 << full), [0, full], 0)
+    return results, visited
+
+
+def lattice_closure(bits):
+    """The least family holding `bits` closed under union and meet, by
+    adding pairwise unions and meets until nothing changes."""
+    while True:
+        members = [x for x in range(bits.bit_length()) if (bits >> x) & 1]
+        grown = bits
+        for a in members:
+            for b in members:
+                grown |= (1 << (a | b)) | (1 << (a & b))
+        if grown == bits:
+            return bits
+        bits = grown
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sublattice_identity_and_prune_rule(n):
+    full = (1 << n) - 1
+    cases = 0
+    for t in enumerate_topologies(n, "raw_scan")[0]:
+        bits = t.opens.bits
+        members = [x for x in range(full + 1) if (bits >> x) & 1]
+        for m in range(full + 1):
+            if (bits >> m) & 1:
+                continue
+            cases += 1
+            generated = 0
+            for a in members:
+                for b in members:
+                    generated |= 1 << (a | (b & m))
+            assert lattice_closure(bits | (1 << m)) == generated
+            prunes = any(u & m != m and not (bits >> (u & m)) & 1 for u in members)
+            closed = reference_close_with(bits, members, m)
+            assert (closed is None) == prunes
+            if closed is not None:
+                joined = bits
+                for u in members:
+                    joined |= 1 << (u | m)
+                assert closed[0] == generated == joined
+    assert cases > 0 or n == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closure_dfs_matches_reference_dfs(n):
+    assert _closure_dfs(n) == reference_closure_dfs(n)
 
 
 def test_raw_scan_cap():
