@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ClaimFalsified, DomainError, Family, full_mask, points_of
+from .core import (
+    ClaimFalsified, DomainError, Family, check_ground, full_mask, points_of, subsets_word,
+    supersets_word)
 from .topology import PreconditionError, Topology, space_report, validate_topology
 
 
@@ -77,6 +79,7 @@ def _require_given(d: FormDescriptor, *names: str) -> None:
 
 
 def construct_topology(d: FormDescriptor, n: int) -> Topology:
+    check_ground(n)  # before any 2^n-bit word is built
     full = full_mask(n)
     k = d.kind
 
@@ -87,49 +90,34 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
     if k == "ExcludedPoint":
         _require_given(d, "a")
         _require(0 <= d.a < n, "parameter a out of range")
-        bits = 1 << full
-        for m in range(1 << n):
-            if not (m >> d.a) & 1:
-                bits |= 1 << m
-        return validate_topology(Family(n, bits))
+        bits = (1 << full) | subsets_word(full & ~(1 << d.a))
 
-    if k in ("IncludedPoint", "UltrafilterType"):
+    elif k in ("IncludedPoint", "UltrafilterType"):
         _require_given(d, "a" if k == "IncludedPoint" else "seed")
         point = d.a if k == "IncludedPoint" else d.seed
         _require(0 <= point < n, "parameter out of range")
-        bits = 1  # empty set
-        for m in range(1 << n):
-            if (m >> point) & 1:
-                bits |= 1 << m
-        return validate_topology(Family(n, bits))
+        bits = 1 | supersets_word(n, 1 << point)
 
-    if k in ("Form1A", "Form1B"):
+    elif k in ("Form1A", "Form1B"):
         _require_given(d, "a")
         _require(0 <= d.a < n, "parameter a out of range")
         _require_given(d, "seed")
         _require(0 <= d.seed < n and d.seed != d.a,
                  "seed must be a point distinct from a")
-        bits = 1 | (1 << full)
-        for m in range(1 << n):
-            in_filter = (m >> d.seed) & 1 and not (m >> d.a) & 1
-            if k == "Form1A" and in_filter:
-                bits |= 1 << m
-            if k == "Form1B" and (m >> d.a) & 1 and (m >> d.seed) & 1:
-                # {a} joined with a filter member: supersets of {a, seed}
-                bits |= 1 << m
-        return validate_topology(Family(n, bits))
+        if k == "Form1A":
+            # the principal ultrafilter at seed on X minus {a}
+            filt = supersets_word(n, 1 << d.seed) & subsets_word(full & ~(1 << d.a))
+        else:
+            # {a} joined with a filter member: supersets of {a, seed}
+            filt = supersets_word(n, (1 << d.a) | (1 << d.seed))
+        bits = 1 | (1 << full) | filt
 
-    if k == "Form3":
+    elif k == "Form3":
         _require_given(d, "a", "b")
         _require(d.a != d.b and 0 <= d.a < n and 0 <= d.b < n, "need distinct points a, b")
-        avoid = (1 << d.a) | (1 << d.b)
-        bits = 1 << full
-        for m in range(1 << n):
-            if m & avoid == 0:
-                bits |= 1 << m
-        return validate_topology(Family(n, bits))
+        bits = (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
 
-    if k == "T2Shape":
+    elif k == "T2Shape":
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
         _require_given(d, "A")
         _require(0 < d.A < full, "A must be proper nonempty")
@@ -137,14 +125,11 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require((d.A >> d.p) & 1, "p must lie in A")
         _require_given(d, "q")
         _require(0 <= d.q < n and not (d.A >> d.q) & 1, "q must lie outside A")
-        need = (1 << d.p) | (1 << d.q)
-        bits = 1 | (1 << full)
-        for m in range(1 << n):
-            if m & need == need:
-                bits |= 1 << m
-        return validate_topology(Family(n, bits))
+        bits = 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
 
-    raise DomainError(f"unknown form kind {k!r}")
+    else:
+        raise DomainError(f"unknown form kind {k!r}")
+    return validate_topology(Family(n, bits))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,25 @@ def complement_family(n: int, bits: int) -> int:
     return int(format(bits, f"0{1 << n}b")[::-1], 2)
 
 
+def subsets_word(s: int) -> int:
+    """The family word of every subset of mask s.  It starts from {empty
+    set}; each bit b of s doubles it by w |= w << b, since m + b = m | b
+    for every m without b."""
+    w = 1
+    while s:
+        lsb = s & -s
+        w |= w << lsb
+        s ^= lsb
+    return w
+
+
+def supersets_word(n: int, s: int) -> int:
+    """The family word of every superset of mask s within {0,...,n-1}.
+    Each superset is s | c for one c disjoint from s, and then s | c = s + c,
+    so the word is the subset word of the complement of s shifted up by s."""
+    return subsets_word(full_mask(n) & ~s) << s
+
+
 def mask_from_points(points: Iterable[int], n: int) -> int:
     mask = 0
     for p in points:
@@ -189,20 +208,6 @@ def compress_mask(subset: int, within: int) -> int:
     return out
 
 
-def expand_mask(local: int, within: int) -> int:
-    """Inverse of compress_mask."""
-    out = 0
-    i = 0
-    m = within
-    while m:
-        lsb = m & -m
-        if (local >> i) & 1:
-            out |= lsb
-        i += 1
-        m ^= lsb
-    return out
-
-
 def restrict_family(fam: Family, a: int) -> Family:
     """F|_A = {F in fam : F subset of A}, re-indexed onto the points of A."""
     if not 0 <= a <= full_mask(fam.n):
@@ -213,7 +218,6 @@ def restrict_family(fam: Family, a: int) -> Family:
         # so reject: the paper only restricts to nonempty subsets.
         raise DomainError("cannot restrict onto the empty set")
     bits = 0
-    for m in fam.members():
-        if m & ~a == 0:
-            bits |= 1 << compress_mask(m, a)
+    for m in Family(fam.n, fam.bits & subsets_word(a)).members():
+        bits |= 1 << compress_mask(m, a)
     return Family(k, bits)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ClaimFalsified, DomainError, Family, complement_family, full_mask, points_of, popcount)
+    ClaimFalsified, DomainError, Family, complement_family, full_mask, points_of, popcount,
+    subsets_word, supersets_word)
 
 
 def is_algebra(fam: Family) -> bool:
@@ -39,24 +40,19 @@ def algebra_from_partition(n: int, blocks: Sequence[int]) -> Family:
     if seen != full_mask(n):
         p = (full_mask(n) & ~seen).bit_length() - 1
         raise DomainError(f"point {p} not covered by partition")
-    bits = 0
-    for pick in range(1 << len(blocks)):
-        m = 0
-        for i, b in enumerate(blocks):
-            if (pick >> i) & 1:
-                m |= b
-        bits |= 1 << m
+    # The blocks are disjoint, so m | b = m + b for every union m of the
+    # blocks before b, as in core.subsets_word.
+    bits = 1
+    for b in blocks:
+        bits |= bits << b
     return Family(n, bits)
 
 
 def atoms_of_algebra(sigma: Family) -> list[int]:
-    """Minimal nonempty members; these are the partition blocks."""
-    members = [m for m in sigma.members() if m]
-    atoms = []
-    for m in members:
-        if not any(o and o != m and o & ~m == 0 for o in members):
-            atoms.append(m)
-    return atoms
+    """Minimal nonempty members; these are the partition blocks.  A member
+    m is minimal when it is the only nonempty member of sigma inside m."""
+    return [m for m in sigma.members()
+            if m and sigma.bits & subsets_word(m) & ~1 == 1 << m]
 
 
 def is_filter(fam: Family, sigma: Family) -> bool:
@@ -73,11 +69,7 @@ def is_filter(fam: Family, sigma: Family) -> bool:
         for v in members[i:]:
             if (u & v) not in fam:
                 return False
-    for u in members:
-        for a in sigma.members():
-            if u & ~a == 0 and a not in fam:
-                return False
-    return True
+    return not any(sigma.bits & supersets_word(fam.n, u) & ~fam.bits for u in members)
 
 
 def is_ultrafilter(fam: Family, sigma: Family) -> bool:
@@ -85,18 +77,6 @@ def is_ultrafilter(fam: Family, sigma: Family) -> bool:
     U in sigma."""
     f = fam.bits
     return is_filter(fam, sigma) and not sigma.bits & ~(f ^ complement_family(fam.n, f))
-
-
-def principal_family(p: int, sigma: Family) -> Family:
-    """{U in sigma : p in U}."""
-    n = sigma.n
-    if not 0 <= p < n:
-        raise DomainError(f"point {p} out of range for ground set of size {n}")
-    bits = 0
-    for m in sigma.members():
-        if (m >> p) & 1:
-            bits |= 1 << m
-    return Family(n, bits)
 
 
 @dataclass(frozen=True)
@@ -119,23 +99,12 @@ class FilterFamily:
 
 
 def _filter_of_atom(atom: int, sigma: Family) -> FilterFamily:
-    bits = 0
-    core = full_mask(sigma.n)
-    for m in sigma.members():
-        if atom & ~m == 0:
-            bits |= 1 << m
-            core &= m
-    fam = Family(sigma.n, bits)
-    principal_at = atom.bit_length() - 1 if popcount(atom) == 1 else None
-    return FilterFamily(fam, sigma, principal_at, is_free=(core == 0), atom=atom)
-
-
-def principal_ultrafilter(p: int, sigma: Family) -> FilterFamily:
-    fam = principal_family(p, sigma)
+    fam = Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom))
     core = full_mask(sigma.n)
     for m in fam.members():
         core &= m
-    return FilterFamily(fam, sigma, p, is_free=(core == 0), atom=core)
+    principal_at = atom.bit_length() - 1 if popcount(atom) == 1 else None
+    return FilterFamily(fam, sigma, principal_at, is_free=(core == 0), atom=atom)
 
 
 def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 from .classify import classify_connected_door, construct_topology, descriptors
@@ -39,7 +39,6 @@ class EnumerationReport:
     mode: str
     total_scanned: int
     counts: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -102,7 +101,6 @@ def enumerate_topologies(
 ) -> tuple[list[Topology], EnumerationReport]:
     if mode == "auto":
         mode = "raw_scan" if n <= CAPS["raw_scan"] else "closure_dfs"
-    start = time.monotonic()
     if mode not in ("raw_scan", "closure_dfs"):
         raise CapabilityError(f"unknown enumeration mode {mode!r}")
     check_cap(mode, n)
@@ -112,8 +110,7 @@ def enumerate_topologies(
     tops = [Topology(n, Family(n, b)) for b in bits_list]
     report = EnumerationReport(
         n=n, mode=mode, total_scanned=scanned,
-        counts={"topologies": len(tops)},
-        elapsed=time.monotonic() - start)
+        counts={"topologies": len(tops)})
     return tops, report
 
 
@@ -220,28 +217,16 @@ def _modular_solutions(
     """Solutions via the weight parameterization: disjoint-additive
     solutions are point-weight sums, valuation solutions add a constant."""
     value_set = set(values)
-    out: list[SetFunction] = []
-
-    def try_weights(c: ExactComplex, weights: list[ExactComplex], includes_empty: bool):
-        f = modular_compose(ModularParams(n, c, tuple(weights)), includes_empty)
-        if {f.values[m] for m in f.domain()} == value_set:
-            out.append(f)
-
-    def rec(weights: list[ExactComplex], choices: list[ExactComplex], c: ExactComplex,
-            includes_empty: bool) -> None:
-        if len(weights) == n:
-            try_weights(c, weights, includes_empty)
-            return
-        for w in choices:
-            weights.append(w)
-            rec(weights, choices, c, includes_empty)
-            weights.pop()
-
     if equation == "eq1_disjoint":
-        rec([], list(values), EC_ZERO, False)
+        cases = [(EC_ZERO, values, False)]
     else:
-        for c in values:
-            rec([], [v - c for v in values], c, True)
+        cases = [(c, [v - c for v in values], True) for c in values]
+    out: list[SetFunction] = []
+    for c, choices, includes_empty in cases:
+        for weights in product(choices, repeat=n):
+            f = modular_compose(ModularParams(n, c, weights), includes_empty)
+            if {f.values[m] for m in f.domain()} == value_set:
+                out.append(f)
     return _canonical_solution_order(out)
 
 

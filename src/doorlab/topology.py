@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import (
     ClaimFalsified, Family, complement, complement_family, full_mask, points_of, popcount,
-    subset_key)
+    subset_key, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -156,13 +156,15 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
 
 def lemma1_check(top: Topology) -> tuple[bool, tuple[int, int, int] | None]:
     """For every disjoint nonempty pair (A open, B closed) and every
-    C inside the remainder: A|C must be open and B|C closed."""
+    C inside the remainder: A|C must be open and B|C closed.  The witness
+    C is the largest failing one."""
     report = space_report(top)
     if not report.connected_door:
         raise PreconditionError("space is not a connected door space")
     n = top.n
     full = full_mask(n)
-    closed = complement_family(n, top.opens.bits)
+    opens = top.opens.bits
+    closed = complement_family(n, opens)
     closed_nonempty = list(Family(n, closed & ~1).members())
     for a in top.opens.members():
         if a == 0:
@@ -170,12 +172,9 @@ def lemma1_check(top: Topology) -> tuple[bool, tuple[int, int, int] | None]:
         for b in closed_nonempty:
             if a & b:
                 continue
+            # C is disjoint from A and B, so A|C = A + C and B|C = B + C.
             rest = full & ~(a | b)
-            c = rest
-            while True:
-                if not top.is_open(a | c) or not (closed >> (b | c)) & 1:
-                    return False, (a, b, c)
-                if c == 0:
-                    break
-                c = (c - 1) & rest
+            bad = ((~opens >> a) | (~closed >> b)) & subsets_word(rest)
+            if bad:
+                return False, (a, b, bad.bit_length() - 1)
     return True, None

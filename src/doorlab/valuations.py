@@ -19,7 +19,8 @@ from fractions import Fraction
 from . import filters
 from .classify import FormDescriptor, UnconstructibleError
 from .core import (
-    DomainError, Family, check_ground, complement_family, full_mask, points_of, popcount)
+    DomainError, Family, check_ground, complement_family, full_mask, points_of, popcount,
+    subsets_word, supersets_word)
 from .topology import TopologyError, space_report, validate_topology
 
 
@@ -131,18 +132,6 @@ class SetFunction:
         }
 
 
-def set_function(n: int, includes_empty: bool, table: dict[int, ExactComplex]) -> SetFunction:
-    vals = []
-    for m in range(1 << n):
-        if m == 0 and not includes_empty:
-            vals.append(EC_ZERO)
-            continue
-        if m not in table:
-            raise DomainError(f"no value assigned to mask {m}")
-        vals.append(table[m])
-    return SetFunction(n, includes_empty, tuple(vals))
-
-
 def int_codes(values) -> list[int]:
     """Exact integer codes of a list of `ExactComplex` values.
 
@@ -215,19 +204,6 @@ class ModularParams:
     def to_json(self) -> dict:
         return {"n": self.n, "c": self.c.to_json(),
                 "weights": [w.to_json() for w in self.weights]}
-
-
-def modular_decompose(f: SetFunction) -> ModularParams:
-    """Recover (c, weights) from a valuation solution.  Raises ValueError
-    carrying the violating pair when f is not a valuation."""
-    if not f.includes_empty:
-        raise DomainError("decomposition needs a value at the empty set")
-    ok, witness = satisfies_valuation(f)
-    if not ok:
-        raise ValueError(f"not a valuation; violated at pair {witness}")
-    c = f.values[0]
-    weights = tuple(f.values[1 << x] - c for x in range(f.n))
-    return ModularParams(f.n, c, weights)
 
 
 def modular_compose(p: ModularParams, includes_empty: bool = True) -> SetFunction:
@@ -462,9 +438,7 @@ def increasing_filter_check(f: SetFunction) -> dict:
         # preimage is the whole power set, the improper filter, and the
         # monotone-preimage fact holds in that generality.
         inter_closed = all((bits >> (a & b)) & 1 for a in pre for b in pre)
-        upward_closed = all(
-            (bits >> v) & 1
-            for u in pre for v in range(top) if u & ~v == 0)
+        upward_closed = not any(supersets_word(f.n, u) & ~bits for u in pre)
         report["preimage_is_filter"] = bool(pre) and inter_closed and upward_closed
         report["preimage_is_proper"] = 0 not in pre
         report["ok"] = report["preimage_is_filter"]
@@ -489,15 +463,11 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
     upper = preimage(values, members, values[full])
     split_ok = not sigma.bits & ~(upper ^ complement_family(n, upper))
 
-    v_empty, v_full = values[0], values[full]
-    down_ok = all(
-        values[a] == v_empty
-        for y in members if values[y] == v_empty
-        for a in members if a & ~y == 0)
-    up_ok = all(
-        values[v] == v_full
-        for u in members if values[u] == v_full
-        for v in members if u & ~v == 0)
+    lower = preimage(values, members, values[0])
+    down_ok = not any(sigma.bits & subsets_word(y) & ~lower
+                      for y in Family(n, lower).members())
+    up_ok = not any(sigma.bits & supersets_word(n, u) & ~upper
+                    for u in Family(n, upper).members())
 
     closed_ok = True
     for z in vset:

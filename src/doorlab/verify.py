@@ -12,13 +12,12 @@ from . import filters
 from .classify import VALID_KINDS, classify_connected_door, construct_topology, descriptors
 from .core import Family, full_mask, powerset
 from .search import (
-    counts_report,
+    compare_with_golden,
     enumerate_connected_door,
     enumerate_occ_door,
     enumerate_solutions,
     enumerate_topologies,
     induced_topology_survey,
-    load_golden,
 )
 from .topology import lemma1_check, occ_satisfied, space_report, validate_topology
 from .valuations import (
@@ -343,15 +342,7 @@ def verify_infrastructure() -> dict:
     repeat_ok = all(bits(n, "raw_scan") == bits(n, "raw_scan") for n in (3, 4))
     details["worker_determinism"] = repeat_ok
 
-    golden_ok = True
-    for n in range(1, 6):
-        golden = load_golden(n)
-        if golden is None:
-            continue
-        fresh = counts_report(n)
-        for key in ("topologies", "door", "connected_door", "occ_door"):
-            if key in golden and golden[key] != fresh.get(key):
-                golden_ok = False
+    golden_ok = all(compare_with_golden(n)["match"] is not False for n in range(1, 6))
     details["golden_match"] = golden_ok
 
     ok = (totals == TOPOLOGY_COUNTS and topologies_ok and solutions_ok

@@ -148,3 +148,30 @@ def test_descriptors_order(n):
 def test_descriptor_json():
     d = FormDescriptor("Form3", a=0, b=1)
     assert d.to_json() == {"kind": "Form3", "a": 0, "b": 1}
+
+
+def reference_construct_bits(d, n):
+    """The open-set word of a form, built by testing every mask: the
+    reference route for the subset and superset words."""
+    full = full_mask(n)
+    if d.kind == "ExcludedPoint":
+        keep = lambda m: m == full or not (m >> d.a) & 1
+    elif d.kind in ("IncludedPoint", "UltrafilterType"):
+        point = d.a if d.kind == "IncludedPoint" else d.seed
+        keep = lambda m: m == 0 or (m >> point) & 1
+    elif d.kind == "Form1A":
+        keep = lambda m: m in (0, full) or ((m >> d.seed) & 1 and not (m >> d.a) & 1)
+    elif d.kind == "Form1B":
+        keep = lambda m: m in (0, full) or ((m >> d.a) & 1 and (m >> d.seed) & 1)
+    elif d.kind == "Form3":
+        keep = lambda m: m == full or not m & ((1 << d.a) | (1 << d.b))
+    else:
+        need = (1 << d.p) | (1 << d.q)
+        keep = lambda m: m in (0, full) or m & need == need
+    return sum(1 << m for m in range(1 << n) if keep(m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_construct_matches_per_mask_reference(n):
+    for d in descriptors(n, VALID_KINDS):
+        assert construct_topology(d, n).opens.bits == reference_construct_bits(d, n)

@@ -11,6 +11,14 @@ from doorlab.cli import run
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def src_env():
+    """The environment for a subprocess that imports doorlab from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr()
@@ -134,13 +142,10 @@ def test_out_file(tmp_path, capsys):
 def test_unwritable_out_is_usage_error(tmp_path):
     # A directory that does not exist: open() raises FileNotFoundError.
     target = tmp_path / "missing" / "x.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-m", "doorlab.cli", "--out", str(target),
          "check", "--n", "1", "--family", "[[],[0]]"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -182,6 +187,19 @@ def test_construct_t2_negative_p_is_named(capsys, params):
     assert "negative shift count" not in err
 
 
+@pytest.mark.parametrize("n", ["22", "0", "-1"])
+def test_construct_ground_set_checked_first(n):
+    # At n = 22 a family word has 2^22 bits: the range check must come
+    # before any word is built.
+    proc = subprocess.run(
+        [sys.executable, "-m", "doorlab.cli",
+         "construct", "--form", "excluded-point", "--n", n, "--a", "0"],
+        env=src_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: ground set size {n} outside [1, 6]\n"
+
+
 def test_unknown_option_rejected(capsys):
     code = run(["solve", "--n", "3", "--values", "0,1", "--frobnicate"])
     assert code == 2
@@ -202,10 +220,7 @@ def test_falsified_claim_exits_1_with_witness_under_O():
         "from doorlab.cli import run\n"
         "sys.exit(run(['enumerate', '--what', 'connected-door', '--n', '4']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {

@@ -6,13 +6,14 @@ from doorlab.core import (
     Family,
     complement_family,
     compress_mask,
-    expand_mask,
     full_mask,
     mask_from_points,
     parse_family,
     points_of,
     powerset,
     restrict_family,
+    subsets_word,
+    supersets_word,
 )
 
 
@@ -36,6 +37,13 @@ def reference_complement_family(n, bits):
 def test_complement_family_matches_per_mask_definition(n):
     for bits in range(1 << (1 << n)):
         assert complement_family(n, bits) == reference_complement_family(n, bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subset_words_match_per_mask_definitions(n):
+    for s in range(1 << n):
+        assert subsets_word(s) == sum(1 << m for m in range(1 << n) if m & ~s == 0)
+        assert supersets_word(n, s) == sum(1 << m for m in range(1 << n) if s & ~m == 0)
 
 
 def test_parse_family_out_of_range():
@@ -90,6 +98,13 @@ def test_serialization_roundtrip_n3(bits):
 def test_subsets_sorted_by_cardinality_then_lex():
     fam = parse_family(3, [[0, 1], [2], [0], [1, 2], []])
     assert fam.to_subsets() == [[], [0], [2], [0, 1], [1, 2]]
+
+
+def expand_mask(local, within):
+    """Inverse of compress_mask: bit i of local goes to the i-th point of
+    within."""
+    points = points_of(within)
+    return sum(1 << points[i] for i in range(len(points)) if (local >> i) & 1)
 
 
 def test_compress_expand_inverse():

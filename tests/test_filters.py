@@ -1,7 +1,8 @@
 import pytest
 
 from doorlab.core import (
-    DomainError, Family, complement, full_mask, parse_family, powerset, restrict_family)
+    DomainError, Family, complement, full_mask, parse_family, powerset, restrict_family,
+    supersets_word)
 from doorlab.filters import (
     algebra_from_partition,
     atoms_of_algebra,
@@ -11,8 +12,12 @@ from doorlab.filters import (
     is_filter,
     is_ultrafilter,
     partitions_of,
-    principal_ultrafilter,
 )
+
+
+def principal_family(p, sigma):
+    """{U in sigma : p in U}: the principal ultrafilter at p."""
+    return Family(sigma.n, sigma.bits & supersets_word(sigma.n, 1 << p))
 
 
 def test_powerset_is_algebra():
@@ -66,13 +71,14 @@ def test_block_ultrafilter():
 
 
 def test_principal_ultrafilter_examples():
-    uf = principal_ultrafilter(0, powerset(2))
-    assert sorted(uf.members.members()) == [0b01, 0b11]
-    uf = principal_ultrafilter(2, powerset(3))
-    assert len(uf.members) == 4
+    uf = principal_family(0, powerset(2))
+    assert sorted(uf.members()) == [0b01, 0b11]
+    uf = principal_family(2, powerset(3))
+    assert len(uf) == 4
     sigma = algebra_from_partition(3, [0b011, 0b100])
-    uf = principal_ultrafilter(0, sigma)
-    assert sorted(uf.members.members()) == [0b011, 0b111]
+    uf = principal_family(0, sigma)
+    assert sorted(uf.members()) == [0b011, 0b111]
+    assert is_ultrafilter(uf, sigma)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -85,7 +91,7 @@ def test_enumerate_ultrafilters_matches_brute_scan(n):
     assert brute == fast
     assert len(fast) == n
     # Every finite ultrafilter is principal at exactly one point.
-    principal = {principal_ultrafilter(p, sigma).members.bits for p in range(n)}
+    principal = {principal_family(p, sigma).bits for p in range(n)}
     assert principal == set(fast)
     assert all(not u.is_free for u in enumerate_ultrafilters(sigma))
 
@@ -109,10 +115,10 @@ def test_atoms_of_partition_algebra():
 def test_restrict_principal_ultrafilter():
     # Restriction to a set containing the point is the principal
     # ultrafilter on that set.
-    uf = principal_ultrafilter(0, powerset(3))
-    got = restrict_family(uf.members, 0b011)
-    local = principal_ultrafilter(0, powerset(2))
-    assert got.bits == local.members.bits
+    uf = principal_family(0, powerset(3))
+    got = restrict_family(uf, 0b011)
+    local = principal_family(0, powerset(2))
+    assert got.bits == local.bits
 
 
 def test_exactly_one_of_u_or_complement():
@@ -123,7 +129,7 @@ def test_exactly_one_of_u_or_complement():
                 assert (m in u.members) != (complement(m, n) in u.members)
 
 
-# Per-member loops: the reference routes for the bitset complement tests.
+# Per-member loops: the reference routes for the bitset predicates.
 
 def reference_is_algebra(fam):
     if len(fam) == 0:
@@ -134,8 +140,17 @@ def reference_is_algebra(fam):
     return all((u | v) in fam for i, u in enumerate(members) for v in members[i + 1:])
 
 
+def reference_is_filter(fam, sigma):
+    members = list(fam.members())
+    if not members or 0 in fam:
+        return False
+    if any((u & v) not in fam for u in members for v in members):
+        return False
+    return all(a in fam for u in members for a in sigma.members() if u & ~a == 0)
+
+
 def reference_is_ultrafilter(fam, sigma):
-    if not is_filter(fam, sigma):
+    if not reference_is_filter(fam, sigma):
         return False
     return all((u in fam) != (complement(u, fam.n) in fam) for u in sigma.members())
 
@@ -156,6 +171,7 @@ def test_complement_predicates_match_per_member_loops(n):
         while True:
             fam = Family(n, sub)
             assert is_algebra(fam) == reference_is_algebra(fam)
+            assert is_filter(fam, sigma) == reference_is_filter(fam, sigma)
             assert is_ultrafilter(fam, sigma) == reference_is_ultrafilter(fam, sigma)
             assert (is_connected_door_wrt(fam, sigma)
                     == reference_is_connected_door_wrt(fam, sigma))

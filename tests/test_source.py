@@ -38,3 +38,29 @@ def test_no_unused_imports_in_src():
         found += [f"{path.name}:{line} {name}"
                   for name, line in sorted(imported.items()) if name not in used]
     assert found == []
+
+
+# Kept without a src caller: ROADMAP item 3's eq1 <-> eq2 bridge will call it.
+NO_SRC_CALLER_YET = {"extend_by_zero_at_empty"}
+
+
+def test_public_src_functions_have_src_callers():
+    """A public top-level function is named somewhere else in src or is
+    exported by an __all__: API that only tests use belongs in the tests."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    named, exported = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        for node in tree.body:
+            targets = getattr(node, "targets", [])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported |= set(ast.literal_eval(node.value))
+    found = sorted(
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in named | exported | NO_SRC_CALLER_YET)
+    assert found == []

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology
 from doorlab.core import Family, parse_family, powerset, subset_key
 from doorlab.search import enumerate_connected_door, enumerate_topologies
@@ -140,6 +143,16 @@ def test_occ_matches_per_subset_reference(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lemma1_matches_per_subset_reference(n):
     for top in enumerate_connected_door(n):
+        assert lemma1_check(top) == reference_lemma1_check(top)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lemma1_witness_matches_descending_loop(monkeypatch, n):
+    # The precondition admits only connected door spaces, where the check
+    # passes; reporting every space as one runs the witness path.
+    monkeypatch.setattr(doorlab.topology, "space_report",
+                        lambda top: replace(space_report(top), connected_door=True))
+    for top in enumerate_topologies(n)[0]:
         assert lemma1_check(top) == reference_lemma1_check(top)
 
 
