@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .classify import (
@@ -20,8 +21,8 @@ from .classify import (
 from .core import (
     CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family, points_of)
 from .search import (
+    census,
     compare_with_golden,
-    enumerate_connected_door,
     enumerate_occ_door,
     enumerate_solutions,
     enumerate_topologies,
@@ -174,7 +175,7 @@ def _run_verb(args) -> int:
                 _emit({"report": rep.to_json(),
                        "topologies": [t.opens.to_hex() for t in tops]}, args.out)
             elif args.what == "connected-door":
-                tops = enumerate_connected_door(args.n, args.mode)
+                tops = census(args.n, args.mode)[1]["connected_door"]
                 _emit({"n": args.n, "count": len(tops),
                        "topologies": [t.to_json() for t in tops]}, args.out)
             else:
@@ -208,6 +209,9 @@ def _run_verb(args) -> int:
 
 
 def main() -> None:
+    # A reader that stops early (`doorlab ... | head`) ends the process the
+    # way it ends a Unix filter, not through the OSError handler of `run`.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

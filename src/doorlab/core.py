@@ -150,14 +150,6 @@ class Family:
             yield lsb.bit_length() - 1
             b ^= lsb
 
-    def add(self, subset: int) -> "Family":
-        return Family(self.n, self.bits | (1 << subset))
-
-    def union(self, other: "Family") -> "Family":
-        if other.n != self.n:
-            raise DomainError("family ground sets differ")
-        return Family(self.n, self.bits | other.bits)
-
     def to_subsets(self) -> list[list[int]]:
         """Members as point lists, sorted by (cardinality, lexicographic)."""
         return [points_of(m) for m in sorted(self.members(), key=subset_key)]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ClaimFalsified, DomainError, Family, complement_family, full_mask, points_of, popcount,
+    ClaimFalsified, DomainError, Family, complement_family, full_mask, points_of,
     subsets_word, supersets_word)
 
 
@@ -82,20 +82,8 @@ def is_ultrafilter(fam: Family, sigma: Family) -> bool:
 @dataclass(frozen=True)
 class FilterFamily:
     members: Family
-    sigma: Family
-    principal_at: int | None
     is_free: bool
     atom: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.members.n,
-            "subsets": self.members.to_subsets(),
-            "principal_at": self.principal_at,
-            "is_free": self.is_free,
-            "atom": points_of(self.atom),
-            "sigma": self.sigma.to_subsets(),
-        }
 
 
 def _filter_of_atom(atom: int, sigma: Family) -> FilterFamily:
@@ -103,8 +91,7 @@ def _filter_of_atom(atom: int, sigma: Family) -> FilterFamily:
     core = full_mask(sigma.n)
     for m in fam.members():
         core &= m
-    principal_at = atom.bit_length() - 1 if popcount(atom) == 1 else None
-    return FilterFamily(fam, sigma, principal_at, is_free=(core == 0), atom=atom)
+    return FilterFamily(fam, is_free=(core == 0), atom=atom)
 
 
 def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:

@@ -114,10 +114,32 @@ def enumerate_topologies(
     return tops, report
 
 
-def enumerate_connected_door(n: int, mode: str = "auto") -> list[Topology]:
-    tops, _ = enumerate_topologies(n, mode)
-    out = [t for t in tops if space_report(t).connected_door]
+def census(
+    n: int, mode: str = "auto"
+) -> tuple[EnumerationReport, dict[str, list[Topology]]]:
+    """Classify every topology on n points once: the door, connected-door
+    and (n >= 4) door + OCC lists, each in enumeration order.  The paper's
+    claims about them are checked on the way: door + OCC implies connected
+    door, there are 2n connected door spaces (two on two points), and each
+    is an excluded-point or included-point topology."""
+    tops, rep = enumerate_topologies(n, mode)
+    lists: dict[str, list[Topology]] = {
+        "topologies": tops, "door": [], "connected_door": []}
+    if n >= 4:
+        lists["occ_door"] = []
+    for t in tops:
+        r = space_report(t)
+        if r.door:
+            lists["door"].append(t)
+            if n >= 4 and occ_satisfied(t)[0]:
+                lists["occ_door"].append(t)
+                if not r.connected_door:
+                    raise ClaimFalsified("door + OCC implies connected door",
+                                         {"n": n, "hex": t.opens.to_hex()})
+        if r.connected_door:
+            lists["connected_door"].append(t)
     if n >= 2:
+        out = lists["connected_door"]
         expected = 2 if n == 2 else 2 * n
         if len(out) != expected:
             raise ClaimFalsified("connected-door count",
@@ -127,7 +149,7 @@ def enumerate_connected_door(n: int, mode: str = "auto") -> list[Topology]:
             if not all(d.kind in ("ExcludedPoint", "IncludedPoint") for d in labels):
                 raise ClaimFalsified("connected door spaces are point topologies",
                                      {"n": n, "hex": t.opens.to_hex()})
-    return out
+    return rep, lists
 
 
 def enumerate_occ_door(n: int, mode: str = "auto"):
@@ -137,16 +159,7 @@ def enumerate_occ_door(n: int, mode: str = "auto"):
     check_ground(n)
     if n < 4:
         return {"note": "OCC is vacuous below four points", "n": n}
-    tops, _ = enumerate_topologies(n, mode)
-    out = []
-    for t in tops:
-        rep = space_report(t)
-        if rep.door and occ_satisfied(t)[0]:
-            out.append(t)
-            if not rep.connected_door:
-                raise ClaimFalsified("door + OCC implies connected door",
-                                     {"n": n, "hex": t.opens.to_hex()})
-    return out
+    return census(n, mode)[1]["occ_door"]
 
 
 def _canonical_solution_order(sols: list[SetFunction]) -> list[SetFunction]:
@@ -285,28 +298,9 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
 
 def counts_report(n: int, mode: str = "auto") -> dict:
     check_cap("counts report", n)
-    tops, rep = enumerate_topologies(n, mode)
-    door = 0
-    connected_door = 0
-    occ_door = 0
-    for t in tops:
-        r = space_report(t)
-        if r.door:
-            door += 1
-            if n >= 4 and occ_satisfied(t)[0]:
-                occ_door += 1
-        if r.connected_door:
-            connected_door += 1
-    out = {
-        "n": n,
-        "mode": rep.mode,
-        "total_scanned": rep.total_scanned,
-        "topologies": len(tops),
-        "door": door,
-        "connected_door": connected_door,
-    }
-    if n >= 4:
-        out["occ_door"] = occ_door
+    rep, lists = census(n, mode)
+    out = {k: len(v) for k, v in lists.items()}
+    out.update(n=n, mode=rep.mode, total_scanned=rep.total_scanned)
     if n == 1:
         out["degenerate"] = True
     return out

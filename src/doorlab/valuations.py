@@ -201,10 +201,6 @@ class ModularParams:
     c: ExactComplex
     weights: tuple[ExactComplex, ...]
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "c": self.c.to_json(),
-                "weights": [w.to_json() for w in self.weights]}
-
 
 def modular_compose(p: ModularParams, includes_empty: bool = True) -> SetFunction:
     """f(m) = f(m minus its lowest point) + the weight of that point: one

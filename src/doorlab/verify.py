@@ -12,9 +12,8 @@ from . import filters
 from .classify import VALID_KINDS, classify_connected_door, construct_topology, descriptors
 from .core import Family, full_mask, powerset
 from .search import (
+    census,
     compare_with_golden,
-    enumerate_connected_door,
-    enumerate_occ_door,
     enumerate_solutions,
     enumerate_topologies,
     induced_topology_survey,
@@ -48,7 +47,7 @@ def verify_classification() -> dict:
     per_n = {}
     ok = True
     for n in range(2, 6):
-        tops = enumerate_connected_door(n)
+        tops = census(n)[1]["connected_door"]
         label_kinds = set()
         free_count = 0
         for t in tops:
@@ -75,7 +74,7 @@ def verify_lemmas_1_2() -> dict:
     ok = True
     checked = 0
     for n in range(2, 6):
-        for t in enumerate_connected_door(n):
+        for t in census(n)[1]["connected_door"]:
             checked += 1
             if not lemma1_check(t)[0] or not occ_satisfied(t)[0]:
                 ok = False
@@ -88,8 +87,9 @@ def verify_occ_converse() -> dict:
     ok = True
     per_n = {}
     for n in (4, 5):
-        occ = {t.opens.bits for t in enumerate_occ_door(n)}
-        cd = {t.opens.bits for t in enumerate_connected_door(n)}
+        lists = census(n)[1]
+        occ = {t.opens.bits for t in lists["occ_door"]}
+        cd = {t.opens.bits for t in lists["connected_door"]}
         per_n[n] = {"door_occ": len(occ), "connected_door": len(cd)}
         ok = ok and occ == cd
     return {"id": "occ-converse", "ok": ok, "per_n": per_n}
@@ -318,13 +318,15 @@ def verify_infrastructure() -> dict:
     consistency."""
     details: dict = {}
 
-    totals = {n: len(enumerate_topologies(n)[0]) for n in range(1, 6)}
+    goldens = [compare_with_golden(n) for n in range(1, 6)]
+    totals = {g["n"]: g["report"]["topologies"] for g in goldens}
     details["topology_totals"] = totals
 
     def bits(n: int, mode: str) -> list[int]:
         return [t.opens.bits for t in enumerate_topologies(n, mode)[0]]
 
-    topologies_ok = all(bits(n, "raw_scan") == bits(n, "closure_dfs") for n in range(1, 5))
+    raw = {n: bits(n, "raw_scan") for n in range(1, 5)}
+    topologies_ok = all(raw[n] == bits(n, "closure_dfs") for n in range(1, 5))
     details["mode_agreement_topologies"] = topologies_ok
 
     solutions_ok = True
@@ -339,10 +341,10 @@ def verify_infrastructure() -> dict:
 
     # The key predates the single-threaded scan; it now checks that a
     # repeated raw scan yields the same list in the same order.
-    repeat_ok = all(bits(n, "raw_scan") == bits(n, "raw_scan") for n in (3, 4))
+    repeat_ok = all(bits(n, "raw_scan") == raw[n] for n in (3, 4))
     details["worker_determinism"] = repeat_ok
 
-    golden_ok = all(compare_with_golden(n)["match"] is not False for n in range(1, 6))
+    golden_ok = all(g["match"] is not False for g in goldens)
     details["golden_match"] = golden_ok
 
     ok = (totals == TOPOLOGY_COUNTS and topologies_ok and solutions_ok

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,20 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_ends_like_a_unix_filter():
+    # The n = 5 hex list is larger than a pipe buffer, so the process is
+    # still writing when the reader closes its end.
+    with subprocess.Popen(
+            [sys.executable, "-m", "doorlab.cli",
+             "enumerate", "--what", "topologies", "--n", "5"],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 @pytest.mark.parametrize("form, params, missing", [

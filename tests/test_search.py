@@ -1,10 +1,17 @@
+import json
+
 import pytest
 
+import doorlab.search as search
+import doorlab.verify as verify
+from doorlab.classify import ClassificationLabel, FormDescriptor
+from doorlab.cli import run
+from doorlab.core import ClaimFalsified
 from doorlab.search import (
     CapabilityError,
+    census,
     compare_with_golden,
     counts_report,
-    enumerate_connected_door,
     enumerate_occ_door,
     enumerate_solutions,
     enumerate_topologies,
@@ -12,6 +19,7 @@ from doorlab.search import (
     load_golden,
     _closure_dfs,
 )
+from doorlab.topology import occ_satisfied, space_report
 from doorlab.valuations import ec
 
 
@@ -131,14 +139,72 @@ def test_closure_cap():
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 8), (5, 10)])
 def test_connected_door_counts(n, count):
-    assert len(enumerate_connected_door(n)) == count
+    assert len(census(n)[1]["connected_door"]) == count
 
 
 def test_occ_door_matches_connected_door():
     for n in (4, 5):
         occ = {t.opens.bits for t in enumerate_occ_door(n)}
-        cd = {t.opens.bits for t in enumerate_connected_door(n)}
+        cd = {t.opens.bits for t in census(n)[1]["connected_door"]}
         assert occ == cd
+
+
+def reference_census(n, mode):
+    """The census lists by one filter per topology and list."""
+    tops = enumerate_topologies(n, mode)[0]
+    out = {"topologies": tops,
+           "door": [t for t in tops if space_report(t).door],
+           "connected_door": [t for t in tops if space_report(t).connected_door]}
+    if n >= 4:
+        out["occ_door"] = [t for t in out["door"] if occ_satisfied(t)[0]]
+    return out
+
+
+@pytest.mark.parametrize("n,mode", [
+    (n, mode) for n in (1, 2, 3, 4) for mode in ("raw_scan", "closure_dfs")] + [(5, "auto")])
+def test_census_matches_per_topology_filters(n, mode):
+    lists = census(n, mode)[1]
+    assert lists == reference_census(n, mode)
+    golden = load_golden(n)
+    keys = ("topologies", "door", "connected_door", "occ_door")
+    assert {k: len(v) for k, v in lists.items()} == {k: golden[k] for k in keys if k in golden}
+
+
+def test_door_occ_claim_is_checked(monkeypatch):
+    monkeypatch.setattr(search, "occ_satisfied", lambda top: (True, None))
+    for check in (census, counts_report):
+        with pytest.raises(ClaimFalsified) as exc:
+            check(4)
+        assert exc.value.claim == "door + OCC implies connected door"
+
+
+def test_point_topology_claim_exits_1_from_report(monkeypatch, capsys):
+    first = next(t for t in enumerate_topologies(4)[0] if space_report(t).connected_door)
+    form3 = ClassificationLabel((FormDescriptor("Form3", a=0, b=1),))
+    monkeypatch.setattr(search, "classify_connected_door", lambda top: form3)
+    assert run(["report", "--n", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "claim_falsified": "connected door spaces are point topologies",
+        "witness": {"n": 4, "hex": first.opens.to_hex()},
+    }
+
+
+@pytest.mark.parametrize("vid,most", [
+    ("thm1-classification", 4), ("lemmas-1-2", 4), ("occ-converse", 2), ("infrastructure", 15)])
+def test_enumerations_per_verifier(monkeypatch, vid, most):
+    # One census per ground set: a verifier that needs the topologies on n
+    # points more than once reads them from the census or report it built.
+    calls = []
+    original = search.enumerate_topologies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_topologies", counted)
+    monkeypatch.setattr(verify, "enumerate_topologies", counted)
+    assert verify.VERIFIERS[vid]()["ok"]
+    assert len(calls) <= most, calls
 
 
 def test_occ_door_below_four_points_is_note():

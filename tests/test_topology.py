@@ -5,7 +5,7 @@ import pytest
 import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology
 from doorlab.core import Family, parse_family, powerset, subset_key
-from doorlab.search import enumerate_connected_door, enumerate_topologies
+from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
     SpaceReport,
@@ -142,7 +142,7 @@ def test_occ_matches_per_subset_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lemma1_matches_per_subset_reference(n):
-    for top in enumerate_connected_door(n):
+    for top in census(n)[1]["connected_door"]:
         assert lemma1_check(top) == reference_lemma1_check(top)
 
 
@@ -200,7 +200,7 @@ def test_connected_door_singleton_profile():
     # points: the two-point space has one open point and one closed
     # singleton at once.
     for n in range(2, 6):
-        for top in enumerate_connected_door(n):
+        for top in census(n)[1]["connected_door"]:
             rep = space_report(top)
             assert len(rep.closed_singletons) >= 1
             if n >= 3:
@@ -211,5 +211,5 @@ def test_connected_door_singleton_profile():
 
 def test_t1_connected_door_empty_on_finite_sets():
     for n in range(2, 6):
-        for top in enumerate_connected_door(n):
+        for top in census(n)[1]["connected_door"]:
             assert not space_report(top).t1
