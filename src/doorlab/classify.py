@@ -93,9 +93,10 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         bits = (1 << full) | subsets_word(full & ~(1 << d.a))
 
     elif k in ("IncludedPoint", "UltrafilterType"):
-        _require_given(d, "a" if k == "IncludedPoint" else "seed")
-        point = d.a if k == "IncludedPoint" else d.seed
-        _require(0 <= point < n, "parameter out of range")
+        name = "a" if k == "IncludedPoint" else "seed"
+        _require_given(d, name)
+        point = getattr(d, name)
+        _require(0 <= point < n, f"parameter {name} out of range")
         bits = 1 | supersets_word(n, 1 << point)
 
     elif k in ("Form1A", "Form1B"):

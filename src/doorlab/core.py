@@ -114,7 +114,7 @@ def subset_key(mask: int) -> tuple[int, list[int]]:
     return (popcount(mask), points_of(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """A set of subsets of {0,...,n-1}, stored as a 2^n-bit membership bitset."""
 

@@ -67,19 +67,28 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     subset of m and so lies below m; the branch is pruned if L lacks one.
     If L has them all, each a | (b & m) is in L or is a | m >= m, so nothing
     new lies below m and the closure is L together with {u | m : u in L}.
+
+    The test needs only the n minimal open sets U_x of L (Alexandroff): each
+    u in L is the union of U_x over x in u, so u & m is the union of the
+    sets U_x & m.  If every U_x & m is in L or equals m, so is every u & m,
+    as L is closed under union and any term equal to m makes the union m.
+    The U_x are members themselves, so the prune fires exactly when some
+    U_x & m is neither in L nor m.  In the child, U_x & m is the least set
+    holding x for x in m (it lies in L or is m, and every u | m holds m),
+    and U_x stays least for x outside m (u | m holding x holds U_x).
     """
     full = full_mask(n)
     results: list[int] = []
     visited = 0
 
-    def dfs(bits: int, members: list[int], last: int) -> None:
+    def dfs(bits: int, members: list[int], mins: list[int], last: int) -> None:
         nonlocal visited
         visited += 1
         results.append(bits)
         for m in range(last + 1, full):
             if (bits >> m) & 1:
                 continue
-            for u in members:
+            for u in mins:
                 t = u & m
                 if t != m and not (bits >> t) & 1:
                     break
@@ -90,9 +99,10 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
                     if not (new_bits >> y) & 1:
                         new_bits |= 1 << y
                         mem.append(y)
-                dfs(new_bits, mem, m)
+                dfs(new_bits, mem,
+                    [u & m if (m >> x) & 1 else u for x, u in enumerate(mins)], m)
 
-    dfs(1 | (1 << full), [0, full], 0)
+    dfs(1 | (1 << full), [0, full], [full] * n, 0)
     return results, visited
 
 

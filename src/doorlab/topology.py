@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    ClaimFalsified, Family, complement, complement_family, full_mask, points_of, popcount,
-    subset_key, subsets_word)
+    MAX_POINTS, ClaimFalsified, Family, complement, complement_family, full_mask, points_of,
+    popcount, subset_key, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -19,7 +19,7 @@ class PreconditionError(ValueError):
     """Operation applied to a space that does not satisfy its hypothesis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
     n: int
     opens: Family
@@ -77,7 +77,7 @@ def validate_topology(fam: Family) -> Topology:
         f"{kind} {points_of(u)} {op} {points_of(v)} = {points_of(w)} missing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceReport:
     connected: bool
     door: bool
@@ -99,6 +99,15 @@ class SpaceReport:
         }
 
 
+# Bit 1 << p of a family word is the singleton {p}.  SINGLETON_BITS[n] keeps
+# those bits for the points of an n-point space, and SINGLETON_POINTS maps a
+# word masked to them to its sorted points, which do not depend on n.
+SINGLETON_BITS = tuple(sum(1 << (1 << p) for p in range(n)) for n in range(MAX_POINTS + 1))
+SINGLETON_POINTS = {
+    sum(1 << (1 << p) for p in points_of(s)): tuple(points_of(s))
+    for s in range(1 << MAX_POINTS)}
+
+
 def space_report(top: Topology) -> SpaceReport:
     n = top.n
     every = (1 << (1 << n)) - 1
@@ -116,14 +125,14 @@ def space_report(top: Topology) -> SpaceReport:
         raise ClaimFalsified("connected-door characterizations agree",
                              {"n": n, "hex": top.opens.to_hex()})
 
-    open_singles = tuple(p for p in range(n) if (o >> (1 << p)) & 1)
-    closed_singles = tuple(p for p in range(n) if (c >> (1 << p)) & 1)
+    singles = SINGLETON_BITS[n]
+    closed_singles = SINGLETON_POINTS[c & singles]
     return SpaceReport(
         connected=connected,
         door=door,
         connected_door=connected_door,
         t1=len(closed_singles) == n,
-        open_singletons=open_singles,
+        open_singletons=SINGLETON_POINTS[o & singles],
         closed_singletons=closed_singles,
         clopen_proper_count=clopen_proper,
     )

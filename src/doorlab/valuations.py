@@ -72,14 +72,16 @@ def ec(re, im=0) -> ExactComplex:
 
 
 def parse_value(text: str) -> ExactComplex:
-    """Parse '3', '-1/2', '2i', '1+2i', '1/2-3/4i'."""
+    """Parse '3', '-1/2', '2i', '1+2i', '1/2-3/4i', '1e-2+1e-3i'."""
     t = text.strip().replace(" ", "")
     if not t:
         raise DomainError("empty value")
     try:
         if t.endswith("i"):
             body = t[:-1]
-            split = max(body.rfind("+", 1), body.rfind("-", 1))
+            # The last sign that does not open an exponent, as in 1e-3.
+            split = next((i for i in range(len(body) - 1, 0, -1)
+                          if body[i] in "+-" and body[i - 1] not in "eE"), 0)
             re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("", body)
             if im_txt in ("", "+"):
                 im_part = Fraction(1)

@@ -189,6 +189,30 @@ def test_construct_missing_parameter_is_named(capsys, form, params, missing):
     assert err == f"error: parameter {missing} missing\n"
 
 
+@pytest.mark.parametrize("form, params, name", [
+    ("excluded-point", ["--a", "3"], "a"),
+    ("included-point", ["--a", "3"], "a"),
+    ("included-point", ["--a", "-1"], "a"),
+    ("ultrafilter", ["--seed", "5"], "seed"),
+    ("form1a", ["--a", "3", "--seed", "1"], "a"),
+])
+def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
+    code, out, err = capture(capsys, [
+        "construct", "--form", form, "--n", "3", *params])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parameter {name} out of range\n"
+
+
+def test_solve_reads_exponent_values(capsys):
+    code, out, _ = capture(capsys, ["solve", "--n", "2", "--values", "0,1e-3i"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 2
+    assert {(v["re"], v["im"]) for s in doc["solutions"] for v in s["values"]} == {
+        ("0", "0"), ("0", "1/1000")}
+
+
 @pytest.mark.parametrize("params", [
     ["--A", "0", "--p", "-1", "--q", "1"],
     ["--p", "-1", "--q", "1"],

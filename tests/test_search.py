@@ -95,6 +95,19 @@ def lattice_closure(bits):
         bits = grown
 
 
+def minimal_opens(n, bits):
+    """U_x for each point x: the meet of every member holding x."""
+    full = (1 << n) - 1
+    out = []
+    for x in range(n):
+        u = full
+        for y in range(full + 1):
+            if (bits >> y) & 1 and (y >> x) & 1:
+                u &= y
+        out.append(u)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sublattice_identity_and_prune_rule(n):
     full = (1 << n) - 1
@@ -102,6 +115,7 @@ def test_sublattice_identity_and_prune_rule(n):
     for t in enumerate_topologies(n, "raw_scan")[0]:
         bits = t.opens.bits
         members = [x for x in range(full + 1) if (bits >> x) & 1]
+        mins = minimal_opens(n, bits)
         for m in range(full + 1):
             if (bits >> m) & 1:
                 continue
@@ -114,11 +128,15 @@ def test_sublattice_identity_and_prune_rule(n):
             prunes = any(u & m != m and not (bits >> (u & m)) & 1 for u in members)
             closed = reference_close_with(bits, members, m)
             assert (closed is None) == prunes
+            assert prunes == any(
+                u & m != m and not (bits >> (u & m)) & 1 for u in mins)
             if closed is not None:
                 joined = bits
                 for u in members:
                     joined |= 1 << (u | m)
                 assert closed[0] == generated == joined
+                assert minimal_opens(n, joined) == [
+                    u & m if (m >> x) & 1 else u for x, u in enumerate(mins)]
     assert cases > 0 or n == 1
 
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -83,6 +84,25 @@ def reference_space_report(top):
 def test_space_report_matches_per_subset_reference(n):
     for top in enumerate_topologies(n)[0]:
         assert space_report(top) == reference_space_report(top)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_singleton_table_matches_point_loop(n):
+    rng = random.Random(n)
+    singles = doorlab.topology.SINGLETON_BITS[n]
+    for s in range(1 << n):
+        w = rng.getrandbits(1 << n) & ~singles
+        for p in range(n):
+            if (s >> p) & 1:
+                w |= 1 << (1 << p)
+        assert doorlab.topology.SINGLETON_POINTS[w & singles] == tuple(
+            p for p in range(n) if (w >> (1 << p)) & 1)
+
+
+def test_per_topology_dataclasses_have_no_dict():
+    top = sierpinski()
+    for obj in (top.opens, top, space_report(top)):
+        assert not hasattr(obj, "__dict__")
 
 
 def test_report_sierpinski():

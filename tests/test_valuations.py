@@ -67,6 +67,10 @@ class TestExactComplex:
         assert parse_value("1+2i") == ec(1, 2)
         assert parse_value("1/2-3/4i") == ec("1/2", "-3/4")
         assert parse_value("-i") == ec(0, -1)
+        assert parse_value("1e-3") == ec("1/1000")
+        assert parse_value("1e-3i") == ec(0, "1/1000")
+        assert parse_value("1e-2+1e-3i") == ec("1/100", "1/1000")
+        assert parse_value("1E+2-1e-3i") == ec(100, "-1/1000")
         with pytest.raises(DomainError):
             parse_value("spam")
 
