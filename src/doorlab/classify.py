@@ -103,8 +103,8 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require_given(d, "a")
         _require(0 <= d.a < n, "parameter a out of range")
         _require_given(d, "seed")
-        _require(0 <= d.seed < n and d.seed != d.a,
-                 "seed must be a point distinct from a")
+        _require(0 <= d.seed < n, "parameter seed out of range")
+        _require(d.seed != d.a, "seed must be a point distinct from a")
         if k == "Form1A":
             # the principal ultrafilter at seed on X minus {a}
             filt = supersets_word(n, 1 << d.seed) & subsets_word(full & ~(1 << d.a))
@@ -115,7 +115,9 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
 
     elif k == "Form3":
         _require_given(d, "a", "b")
-        _require(d.a != d.b and 0 <= d.a < n and 0 <= d.b < n, "need distinct points a, b")
+        _require(0 <= d.a < n, "parameter a out of range")
+        _require(0 <= d.b < n, "parameter b out of range")
+        _require(d.a != d.b, "need distinct points a, b")
         bits = (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
 
     elif k == "T2Shape":
@@ -125,7 +127,8 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require_given(d, "p")
         _require((d.A >> d.p) & 1, "p must lie in A")
         _require_given(d, "q")
-        _require(0 <= d.q < n and not (d.A >> d.q) & 1, "q must lie outside A")
+        _require(0 <= d.q < n, "parameter q out of range")
+        _require(not (d.A >> d.q) & 1, "q must lie outside A")
         bits = 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
 
     else:
@@ -164,6 +167,12 @@ def descriptors(n: int, kinds: tuple[str, ...]) -> list[FormDescriptor]:
         out += [FormDescriptor("T2Shape", A=A, p=p, q=q) for A in range(1, full)
                 for p in points_of(A) for q in points_of(full & ~A)]
     return out
+
+
+def form_bits(n: int, kinds: tuple[str, ...]) -> set[int]:
+    """The family words of the constructible instances of `kinds` on n
+    points, one per distinct topology."""
+    return {construct_topology(d, n).opens.bits for d in descriptors(n, kinds)}
 
 
 def _matching(top: Topology, kinds: tuple[str, ...]) -> tuple[FormDescriptor, ...]:

@@ -1,7 +1,8 @@
 """Exhaustive enumeration at desk scale: all topologies on a labeled ground
 set, the door / connected-door / OCC filters over them, and all solutions of
 the two set equations, each available through at least two independent
-routes (raw scan vs closure DFS, brute scan vs modular parameters)."""
+routes (raw scan vs one-point extension, brute scan vs modular
+parameters)."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
-from .classify import classify_connected_door, construct_topology, descriptors
+from .classify import classify_connected_door, form_bits
 from .core import (
     CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, full_mask,
-    popcount)
+    popcount, subsets_word, supersets_word)
 from .topology import (
     Topology,
     is_topology_bits,
@@ -56,54 +57,35 @@ def _raw_scan(n: int) -> tuple[list[int], int]:
 
 
 def _closure_dfs(n: int) -> tuple[list[int], int]:
-    """Orderly generation of all families containing the empty set and X
-    that are closed under pairwise union and intersection.  Each closed
-    family has a unique increasing canonical generator chain; a branch is
-    pruned when closure creates a new element below the current generator.
+    """Every topology on n points, grown by the one-point extension from
+    the one on a point (Alexandroff, "Diskrete Räume", 1937).
 
-    For a sublattice L of 2^X holding the empty set and X, the sublattice
-    generated by L and m is {a | (b & m) : a, b in L}: it holds L and m, and
-    is closed by distributivity.  Each u & m != m, u in L, is a proper
-    subset of m and so lies below m; the branch is pruned if L lacks one.
-    If L has them all, each a | (b & m) is in L or is a | m >= m, so nothing
-    new lies below m and the closure is L together with {u | m : u in L}.
-
-    The test needs only the n minimal open sets U_x of L (Alexandroff): each
-    u in L is the union of U_x over x in u, so u & m is the union of the
-    sets U_x & m.  If every U_x & m is in L or equals m, so is every u & m,
-    as L is closed under union and any term equal to m makes the union m.
-    The U_x are members themselves, so the prune fires exactly when some
-    U_x & m is neither in L nor m.  In the child, U_x & m is the least set
-    holding x for x in m (it lies in L or is m, and every u | m holds m),
-    and U_x stays least for x outside m (u | m holding x holds U_x).
+    A topology W on {0..k} is fixed by its trace T on {0..k-1}, the open set
+    u of T of the points whose least open set in W misses k, and the open
+    set a = U_k minus k.  W holds the s in T within u and s + {k} for the s
+    in T holding a, and a lies in U_b for each b outside u.  Conversely each
+    such (T, u, a) gives a topology with trace T (a member of T not within u
+    holds some U_b, so holds a) whose u and a read back as chosen: each
+    topology comes out exactly once.  The mode keeps its name "closure_dfs",
+    which the JSON reports print, as `visited` still counts each topology once.
     """
-    full = full_mask(n)
-    results: list[int] = []
-    visited = 0
-
-    def dfs(bits: int, members: list[int], mins: list[int], last: int) -> None:
-        nonlocal visited
-        visited += 1
-        results.append(bits)
-        for m in range(last + 1, full):
-            if (bits >> m) & 1:
-                continue
-            for u in mins:
-                t = u & m
-                if t != m and not (bits >> t) & 1:
-                    break
-            else:
-                new_bits, mem = bits, list(members)
-                for u in members:
-                    y = u | m
-                    if not (new_bits >> y) & 1:
-                        new_bits |= 1 << y
-                        mem.append(y)
-                dfs(new_bits, mem,
-                    [u & m if (m >> x) & 1 else u for x, u in enumerate(mins)], m)
-
-    dfs(1 | (1 << full), [0, full], [full] * n, 0)
-    return results, visited
+    words = [3]
+    for k in range(1, n):
+        full, shift, nxt = full_mask(k), 1 << k, []
+        for t in words:
+            opens = [m for m in range(full + 1) if (t >> m) & 1]
+            # U_x is the least member holding x, so also the numerically least.
+            mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
+            for u in opens:
+                cap = full
+                for x in range(k):
+                    if not (u >> x) & 1:
+                        cap &= mins[x]
+                low = t & subsets_word(u)
+                nxt += [low | ((t & supersets_word(k, a)) << shift)
+                        for a in opens if not a & ~cap]
+        words = nxt
+    return words, len(words)
 
 
 def enumerate_topologies(
@@ -272,13 +254,6 @@ def enumerate_solutions(
     return _modular_solutions(n, values, equation)
 
 
-def three_valued_form_bits(n: int) -> set[int]:
-    """Family bitsets of every Form1A / Form1B / Form3 instance with
-    principal seeds."""
-    return {construct_topology(d, n).opens.bits
-            for d in descriptors(n, ("Form1A", "Form1B", "Form3"))}
-
-
 def induced_topology_survey(n: int, mode: str = "brute") -> dict:
     """Every valuation solution onto {-1, 0, 1}, with each designated value
     in {-1, 1}, either fails the axioms or lands exactly in the set of
@@ -294,7 +269,7 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
             if is_topology_bits(n, fam.bits):
                 induced.add(fam.bits)
                 realizers[fam.bits] = realizers.get(fam.bits, 0) + 1
-    expected = three_valued_form_bits(n)
+    expected = form_bits(n, ("Form1A", "Form1B", "Form3"))
     return {
         "n": n,
         "mode": mode,

@@ -141,8 +141,9 @@ def space_report(top: Topology) -> SpaceReport:
 def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None]:
     """OCC: no pairwise disjoint nonempty A, B open and C, D closed.
 
-    Returns (True, None) or (False, (A, B, C, D)) with the smallest witness
-    in (cardinality, mask) order.
+    Returns (True, None) or (False, (A, B, C, D)) with the first witness
+    when opens and closeds are each sorted by `subset_key`: cardinality,
+    then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
     n = top.n
     opens = sorted((m for m in top.opens.members() if m), key=subset_key)

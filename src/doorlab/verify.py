@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import filters
-from .classify import VALID_KINDS, classify_connected_door, construct_topology, descriptors
+from .classify import (
+    VALID_KINDS, classify_connected_door, construct_topology, descriptors, form_bits)
 from .core import Family, full_mask, powerset
 from .search import (
     census,
@@ -130,7 +131,7 @@ def verify_theorem4() -> dict:
     ok = ok and len(sols_sym) == 12
     shape = classify_value_shape([ec(-1), ec(0), ec(1)])
     ok = ok and shape["shape"] == "NegZeroPos"
-    t1_bits = {construct_topology(d, n).opens.bits for d in descriptors(n, ("Form1A",))}
+    t1_bits = form_bits(n, ("Form1A",))
     for f in sols_sym:
         for v in (ec(1), ec(-1)):
             fam = induced_family(f, v)
@@ -143,7 +144,7 @@ def verify_theorem4() -> dict:
     shape = classify_value_shape([ec(0), ec(1), ec(2)])
     ok = ok and shape["shape"] == "ZeroZ2Z"
     # A T2Shape topology depends only on {p, q}, not on A.
-    t2_bits = {construct_topology(d, n).opens.bits for d in descriptors(n, ("T2Shape",))}
+    t2_bits = form_bits(n, ("T2Shape",))
     for f in sols_lad:
         fam = induced_family(f, ec(2))
         if fam.bits not in t2_bits:

@@ -195,6 +195,11 @@ def test_construct_missing_parameter_is_named(capsys, form, params, missing):
     ("included-point", ["--a", "-1"], "a"),
     ("ultrafilter", ["--seed", "5"], "seed"),
     ("form1a", ["--a", "3", "--seed", "1"], "a"),
+    ("form1a", ["--a", "0", "--seed", "7"], "seed"),
+    ("form1b", ["--a", "0", "--seed", "-1"], "seed"),
+    ("form3", ["--a", "0", "--b", "7"], "b"),
+    ("t2", ["--A", "0", "--p", "0", "--q", "3"], "q"),
+    ("t2", ["--A", "0", "--p", "0", "--q", "-1"], "q"),
 ])
 def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
     code, out, err = capture(capsys, [
@@ -202,6 +207,19 @@ def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
     assert code == 2
     assert out == ""
     assert err == f"error: parameter {name} out of range\n"
+
+
+@pytest.mark.parametrize("form, params, message", [
+    ("form1a", ["--a", "0", "--seed", "0"], "seed must be a point distinct from a"),
+    ("form3", ["--a", "1", "--b", "1"], "need distinct points a, b"),
+    ("t2", ["--A", "0", "--p", "0", "--q", "0"], "q must lie outside A"),
+])
+def test_construct_in_range_conflict_keeps_its_message(capsys, form, params, message):
+    code, out, err = capture(capsys, [
+        "construct", "--form", form, "--n", "3", *params])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_solve_reads_exponent_values(capsys):

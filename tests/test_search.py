@@ -6,7 +6,7 @@ import doorlab.search as search
 import doorlab.verify as verify
 from doorlab.classify import ClassificationLabel, FormDescriptor
 from doorlab.cli import run
-from doorlab.core import ClaimFalsified
+from doorlab.core import ClaimFalsified, subsets_word, supersets_word
 from doorlab.search import (
     CapabilityError,
     census,
@@ -18,6 +18,7 @@ from doorlab.search import (
     induced_topology_survey,
     load_golden,
     _closure_dfs,
+    _raw_scan,
 )
 from doorlab.topology import occ_satisfied, space_report
 from doorlab.valuations import ec
@@ -42,9 +43,8 @@ def test_mode_agreement_topologies(n):
 
 
 def reference_close_with(bits, members, m):
-    """The BFS closure the DFS used before the sublattice identity: add m,
-    then every union and meet with a member until nothing is new; None as
-    soon as a new set lies below m."""
+    """Add m to a sublattice, then every union and meet with a member until
+    nothing is new; None as soon as a new set lies below m."""
     new_bits = bits | (1 << m)
     mem = list(members)
     queue = [m]
@@ -62,6 +62,10 @@ def reference_close_with(bits, members, m):
 
 
 def reference_closure_dfs(n):
+    """Orderly generation of the families holding the empty set and X that
+    are closed under union and meet: each has one increasing generator
+    chain, and a branch ends when closure makes a new set below its
+    generator."""
     full = (1 << n) - 1
     results = []
     visited = 0
@@ -81,20 +85,6 @@ def reference_closure_dfs(n):
     return results, visited
 
 
-def lattice_closure(bits):
-    """The least family holding `bits` closed under union and meet, by
-    adding pairwise unions and meets until nothing changes."""
-    while True:
-        members = [x for x in range(bits.bit_length()) if (bits >> x) & 1]
-        grown = bits
-        for a in members:
-            for b in members:
-                grown |= (1 << (a | b)) | (1 << (a & b))
-        if grown == bits:
-            return bits
-        bits = grown
-
-
 def minimal_opens(n, bits):
     """U_x for each point x: the meet of every member holding x."""
     full = (1 << n) - 1
@@ -108,41 +98,58 @@ def minimal_opens(n, bits):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sublattice_identity_and_prune_rule(n):
-    full = (1 << n) - 1
-    cases = 0
-    for t in enumerate_topologies(n, "raw_scan")[0]:
-        bits = t.opens.bits
-        members = [x for x in range(full + 1) if (bits >> x) & 1]
-        mins = minimal_opens(n, bits)
-        for m in range(full + 1):
-            if (bits >> m) & 1:
-                continue
-            cases += 1
-            generated = 0
-            for a in members:
-                for b in members:
-                    generated |= 1 << (a | (b & m))
-            assert lattice_closure(bits | (1 << m)) == generated
-            prunes = any(u & m != m and not (bits >> (u & m)) & 1 for u in members)
-            closed = reference_close_with(bits, members, m)
-            assert (closed is None) == prunes
-            assert prunes == any(
-                u & m != m and not (bits >> (u & m)) & 1 for u in mins)
-            if closed is not None:
-                joined = bits
-                for u in members:
-                    joined |= 1 << (u | m)
-                assert closed[0] == generated == joined
-                assert minimal_opens(n, joined) == [
-                    u & m if (m >> x) & 1 else u for x, u in enumerate(mins)]
-    assert cases > 0 or n == 1
+def reference_words(n):
+    return _raw_scan(n)[0] if n <= 4 else reference_closure_dfs(n)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_point_extension_is_a_bijection(n):
+    # Each topology W on n points is read off as (T, B, A): its trace T on
+    # the first k = n - 1 points, the points B whose U_x holds k, and A =
+    # U_k minus k.  The triple is valid and rebuilds W, so W -> (T, B, A)
+    # is one to one; as many valid triples exist as topologies, so it is
+    # onto.
+    k = n - 1
+    full = (1 << k) - 1
+    triples = set()
+    for w in reference_words(n):
+        t = 0
+        for m in range(1 << n):
+            if (w >> m) & 1:
+                t |= 1 << (m & full)
+        mins_w = minimal_opens(n, w)
+        mins_t = minimal_opens(k, t)
+        b = sum(1 << x for x in range(k) if (mins_w[x] >> k) & 1)
+        a = mins_w[k] & full
+        assert (t >> (full & ~b)) & 1
+        assert (t >> a) & 1
+        assert all(a & ~mins_t[x] == 0 for x in range(k) if (b >> x) & 1)
+        assert (t & subsets_word(full & ~b)) | ((t & supersets_word(k, a)) << (1 << k)) == w
+        triples.add((t, b, a))
+    valid = 0
+    for t in reference_words(k):
+        mins_t = minimal_opens(k, t)
+        opens = [m for m in range(full + 1) if (t >> m) & 1]
+        valid += sum(all(a & ~mins_t[x] == 0 for x in range(k) if not (u >> x) & 1)
+                     for u in opens for a in opens)
+    assert len(triples) == valid == TOPOLOGY_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_closure_dfs_matches_reference_dfs(n):
-    assert _closure_dfs(n) == reference_closure_dfs(n)
+    # Generation order belongs to the reference DFS alone;
+    # enumerate_topologies sorts the words.
+    words, visited = _closure_dfs(n)
+    ref_words, ref_visited = reference_closure_dfs(n)
+    assert sorted(words) == sorted(ref_words)
+    assert visited == ref_visited
+
+
+def test_closure_dfs_counts_through_six_points():
+    # OEIS A000798: labelled topologies on n points.
+    for n, count in {**TOPOLOGY_COUNTS, 6: 209527}.items():
+        words, visited = _closure_dfs(n)
+        assert len(words) == len(set(words)) == visited == count
 
 
 def test_raw_scan_cap():
