@@ -122,6 +122,7 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
 
     elif k == "T2Shape":
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
+        _require(d.p is None or d.p < n, "parameter p out of range")
         _require_given(d, "A")
         _require(0 < d.A < full, "A must be proper nonempty")
         _require_given(d, "p")

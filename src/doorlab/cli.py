@@ -19,7 +19,8 @@ from .classify import (
     recognize_form,
 )
 from .core import (
-    CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family, points_of)
+    MAX_POINTS, CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family,
+    points_of)
 from .search import (
     census,
     compare_with_golden,
@@ -55,7 +56,8 @@ def _descriptor_from_args(args) -> FormDescriptor:
     A = None
     if args.A is not None:
         A = mask_from_points([int(x) for x in args.A.split(",") if x != ""], args.n)
-    elif kind == "T2Shape" and args.p is not None and args.p >= 0:
+    elif kind == "T2Shape" and args.p is not None and 0 <= args.p < args.n <= MAX_POINTS:
+        # A = {p} only for a p in range: the range checks name p itself.
         A = 1 << args.p
     return FormDescriptor(kind, a=args.a, b=args.b, seed=args.seed,
                           A=A, p=args.p, q=args.q)

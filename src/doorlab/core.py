@@ -17,10 +17,10 @@ MAX_POINTS = 6
 CAPS = {
     "raw_scan": 4,
     "closure_dfs": MAX_POINTS,
-    "occ-door enumeration": 5,
+    "occ-door enumeration": MAX_POINTS,
     "brute solution scan": 4,
     "modular solution scan": MAX_POINTS,
-    "counts report": 5,
+    "counts report": MAX_POINTS,
 }
 
 

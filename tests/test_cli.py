@@ -114,6 +114,24 @@ def test_enumerate_cap_exceeded(capsys):
     assert "n = 6" in err
 
 
+@pytest.mark.parametrize("argv, job", [
+    (["report", "--n", "7"], "counts report"),
+    (["enumerate", "--what", "occ-door", "--n", "7"], "occ-door enumeration"),
+])
+def test_six_point_caps_refuse_seven(capsys, argv, job):
+    code, out, err = capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {job} caps at n = 6\n"
+
+
+def test_occ_door_enumeration_at_six_points(capsys):
+    code, out, _ = capture(capsys, ["enumerate", "--what", "occ-door", "--n", "6"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["count"], len(doc["topologies"])) == (6, 12, 12)
+
+
 def test_report_matches_golden(capsys):
     code, out, _ = capture(capsys, ["report", "--n", "3"])
     assert code == 0
@@ -200,6 +218,8 @@ def test_construct_missing_parameter_is_named(capsys, form, params, missing):
     ("form3", ["--a", "0", "--b", "7"], "b"),
     ("t2", ["--A", "0", "--p", "0", "--q", "3"], "q"),
     ("t2", ["--A", "0", "--p", "0", "--q", "-1"], "q"),
+    ("t2", ["--p", "5", "--q", "1"], "p"),
+    ("t2", ["--A", "0", "--p", "3", "--q", "1"], "p"),
 ])
 def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
     code, out, err = capture(capsys, [

@@ -19,8 +19,9 @@ from doorlab.search import (
     load_golden,
     _closure_dfs,
     _raw_scan,
+    _subset_lanes,
 )
-from doorlab.topology import occ_satisfied, space_report
+from doorlab.topology import is_topology_bits, occ_satisfied, space_report
 from doorlab.valuations import ec
 
 
@@ -40,6 +41,37 @@ def test_mode_agreement_topologies(n):
     raw = [t.opens.bits for t in enumerate_topologies(n, "raw_scan")[0]]
     dfs = [t.opens.bits for t in enumerate_topologies(n, "closure_dfs")[0]]
     assert raw == dfs
+
+
+def reference_raw_scan(n):
+    """The raw scan one candidate word at a time."""
+    space = 1 << (1 << n)
+    base = 1 | (1 << ((1 << n) - 1))
+    return [b for b in range(space) if b & base == base and is_topology_bits(n, b)], space
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_raw_scan_matches_reference(n):
+    assert _raw_scan(n) == reference_raw_scan(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subset_lanes_match_per_word_definition(n):
+    has = _subset_lanes(n)
+    assert len(has) == 1 << n
+    for s, lane in enumerate(has):
+        assert lane == sum(1 << b for b in range(1 << (1 << n)) if (b >> s) & 1)
+
+
+def test_raw_scan_makes_no_per_word_axiom_call(monkeypatch):
+    expected = reference_raw_scan(4)
+
+    def per_word(n, bits):
+        raise AssertionError("per-word axiom check")
+
+    monkeypatch.setattr(search, "is_topology_bits", per_word)
+    monkeypatch.setattr("doorlab.topology._axiom_witness", per_word)
+    assert _raw_scan(4) == expected
 
 
 def reference_close_with(bits, members, m):
@@ -298,7 +330,7 @@ def test_counts_report_n1_degenerate():
     assert rep["degenerate"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_golden_files_match(n):
     golden = load_golden(n)
     assert golden is not None, "golden file missing"
