@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .classify import classify_connected_door, form_bits
 from .core import (
-    CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, full_mask,
-    popcount, subsets_word, supersets_word)
+    CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, complement_family,
+    full_mask, popcount, subsets_word, supersets_word)
 from .topology import (
     Topology,
     is_topology_bits,
@@ -127,46 +127,48 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     return words, len(words)
 
 
-def enumerate_topologies(
-    n: int, mode: str = "auto"
-) -> tuple[list[Topology], EnumerationReport]:
+def topology_words(n: int, mode: str = "auto") -> tuple[list[int], EnumerationReport]:
+    """Every topology on n points as its family word, in ascending order."""
     if mode == "auto":
         mode = "raw_scan" if n <= CAPS["raw_scan"] else "closure_dfs"
     if mode not in ("raw_scan", "closure_dfs"):
         raise CapabilityError(f"unknown enumeration mode {mode!r}")
     check_cap(mode, n)
     check_ground(n)
-    bits_list, scanned = _raw_scan(n) if mode == "raw_scan" else _closure_dfs(n)
-    bits_list.sort()
-    tops = [Topology(n, Family(n, b)) for b in bits_list]
+    words, scanned = _raw_scan(n) if mode == "raw_scan" else _closure_dfs(n)
+    words.sort()
     report = EnumerationReport(
         n=n, mode=mode, total_scanned=scanned,
-        counts={"topologies": len(tops)})
-    return tops, report
+        counts={"topologies": len(words)})
+    return words, report
 
 
-def census(
-    n: int, mode: str = "auto"
-) -> tuple[EnumerationReport, dict[str, list[Topology]]]:
+def enumerate_topologies(n: int, mode: str = "auto") -> tuple[list[Topology], EnumerationReport]:
+    words, report = topology_words(n, mode)
+    return [Topology(n, Family(n, b)) for b in words], report
+
+
+def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, list[Topology]]]:
     """Classify every topology on n points once: the door, connected-door
     and (n >= 4) door + OCC lists, each in enumeration order.  The paper's
     claims about them are checked on the way: door + OCC implies connected
     door, there are 2n connected door spaces (two on two points), and each
-    is an excluded-point or included-point topology."""
-    tops, rep = enumerate_topologies(n, mode)
-    lists: dict[str, list[Topology]] = {
-        "topologies": tops, "door": [], "connected_door": []}
+    is an excluded-point or included-point topology.  Only door words, which
+    with their complement words hold every subset, reach `space_report`: its
+    cross-check fails on no other word, as open xor closed implies door."""
+    words, rep = topology_words(n, mode)
+    every = (1 << (1 << n)) - 1
+    door = [Topology(n, Family(n, b)) for b in words if b | complement_family(n, b) == every]
+    lists: dict[str, list[Topology]] = {"door": door, "connected_door": []}
     if n >= 4:
         lists["occ_door"] = []
-    for t in tops:
+    for t in door:
         r = space_report(t)
-        if r.door:
-            lists["door"].append(t)
-            if n >= 4 and occ_satisfied(t)[0]:
-                lists["occ_door"].append(t)
-                if not r.connected_door:
-                    raise ClaimFalsified("door + OCC implies connected door",
-                                         {"n": n, "hex": t.opens.to_hex()})
+        if n >= 4 and occ_satisfied(t)[0]:
+            lists["occ_door"].append(t)
+            if not r.connected_door:
+                raise ClaimFalsified("door + OCC implies connected door",
+                                     {"n": n, "hex": t.opens.to_hex()})
         if r.connected_door:
             lists["connected_door"].append(t)
     if n >= 2:
@@ -324,7 +326,7 @@ def counts_report(n: int, mode: str = "auto") -> dict:
     check_cap("counts report", n)
     rep, lists = census(n, mode)
     out = {k: len(v) for k, v in lists.items()}
-    out.update(n=n, mode=rep.mode, total_scanned=rep.total_scanned)
+    out.update(rep.counts, n=n, mode=rep.mode, total_scanned=rep.total_scanned)
     if n == 1:
         out["degenerate"] = True
     return out
@@ -345,11 +347,12 @@ def load_golden(n: int) -> dict | None:
 
 
 def compare_with_golden(n: int) -> dict:
+    """The counts report against every key of the golden file; "mismatch"
+    names the first differing key in sorted order."""
     fresh = counts_report(n)
     golden = load_golden(n)
-    stable_keys = ("topologies", "door", "connected_door", "occ_door")
     if golden is None:
         return {"n": n, "golden": None, "report": fresh, "match": None}
-    match = all(
-        fresh.get(k) == golden.get(k) for k in stable_keys if k in golden)
-    return {"n": n, "golden": golden, "report": fresh, "match": match}
+    mismatch = [k for k in sorted(golden) if fresh.get(k) != golden[k]]
+    doc = {"n": n, "golden": golden, "report": fresh, "match": not mismatch}
+    return {**doc, "mismatch": mismatch[0]} if mismatch else doc

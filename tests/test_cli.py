@@ -138,6 +138,23 @@ def test_report_matches_golden(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_report_drifted_golden_exits_1(tmp_path, monkeypatch, capsys):
+    # The gate compares every key of the golden, not only the four counts.
+    shipped = SRC / "doorlab" / "goldens" / "v1"
+    for path in shipped.glob("counts_n*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    for n, key, value in ((4, "mode", "closure_dfs"), (3, "total_scanned", 257)):
+        path = tmp_path / f"counts_n{n}.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    monkeypatch.setenv("DOORLAB_GOLDEN_DIR", str(tmp_path))
+    for n, key in ((4, "mode"), (3, "total_scanned")):
+        code, out, _ = capture(capsys, ["report", "--n", str(n)])
+        doc = json.loads(out)
+        assert (code, doc["match"], doc["mismatch"]) == (1, False, key)
+    code, out, _ = capture(capsys, ["report", "--n", "2"])
+    assert (code, "mismatch" in json.loads(out)) == (0, False)
+
+
 def test_output_determinism_across_runs(capsys):
     outputs = []
     for _ in range(3):
@@ -293,7 +310,7 @@ def test_falsified_claim_exits_1_with_witness_under_O():
     script = (
         "import sys\n"
         "import doorlab.search as search\n"
-        "search.enumerate_topologies = lambda n, mode='auto': ([], None)\n"
+        "search.topology_words = lambda n, mode='auto': ([], None)\n"
         "from doorlab.cli import run\n"
         "sys.exit(run(['enumerate', '--what', 'connected-door', '--n', '4']))\n"
     )

@@ -220,11 +220,34 @@ def reference_census(n, mode):
 @pytest.mark.parametrize("n,mode", [
     (n, mode) for n in (1, 2, 3, 4) for mode in ("raw_scan", "closure_dfs")] + [(5, "auto")])
 def test_census_matches_per_topology_filters(n, mode):
-    lists = census(n, mode)[1]
-    assert lists == reference_census(n, mode)
+    rep, lists = census(n, mode)
+    reference = reference_census(n, mode)
+    assert rep.counts["topologies"] == len(reference.pop("topologies"))
+    assert lists == reference
     golden = load_golden(n)
     keys = ("topologies", "door", "connected_door", "occ_door")
-    assert {k: len(v) for k, v in lists.items()} == {k: golden[k] for k in keys if k in golden}
+    counts = {k: len(v) for k, v in lists.items()} | rep.counts
+    assert counts == {k: golden[k] for k in keys if k in golden}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_census_wraps_and_reports_door_words_only(monkeypatch, n):
+    wrapped, reported = [], []
+    original_topology, original_report = search.Topology, search.space_report
+
+    def counted_topology(size, opens):
+        wrapped.append(opens.bits)
+        return original_topology(size, opens)
+
+    def counted_report(top):
+        reported.append(top.opens.bits)
+        return original_report(top)
+
+    monkeypatch.setattr(search, "Topology", counted_topology)
+    monkeypatch.setattr(search, "space_report", counted_report)
+    door = [t.opens.bits for t in census(n)[1]["door"]]
+    assert wrapped == reported == door
+    assert len(door) == load_golden(n)["door"]
 
 
 def test_door_occ_claim_is_checked(monkeypatch):
@@ -252,14 +275,14 @@ def test_enumerations_per_verifier(monkeypatch, vid, most):
     # One census per ground set: a verifier that needs the topologies on n
     # points more than once reads them from the census or report it built.
     calls = []
-    original = search.enumerate_topologies
+    original = search.topology_words
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(search, "enumerate_topologies", counted)
-    monkeypatch.setattr(verify, "enumerate_topologies", counted)
+    monkeypatch.setattr(search, "topology_words", counted)
+    monkeypatch.setattr(verify, "topology_words", counted)
     assert verify.VERIFIERS[vid]()["ok"]
     assert len(calls) <= most, calls
 
