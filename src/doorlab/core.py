@@ -55,10 +55,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def complement(subset: int, n: int) -> int:
-    return full_mask(n) & ~subset
-
-
 def complement_family(n: int, bits: int) -> int:
     """The family of complements of the members of `bits`.  The complement
     of mask m is full - m, so this is the family's 2^n-bit word reversed."""
@@ -82,6 +78,26 @@ def supersets_word(n: int, s: int) -> int:
     Each superset is s | c for one c disjoint from s, and then s | c = s + c,
     so the word is the subset word of the complement of s shifted up by s."""
     return subsets_word(full_mask(n) & ~s) << s
+
+
+def lattice_witness(bits: int) -> tuple[str, int, int] | None:
+    """The first pair u < v of members of the family word `bits`, in
+    ascending order, whose union or intersection is not a member, as
+    ("union" | "intersection", u, v); None when the family is closed under
+    both."""
+    members = []
+    b = bits
+    while b:
+        lsb = b & -b
+        members.append(lsb.bit_length() - 1)
+        b ^= lsb
+    for i, u in enumerate(members):
+        for v in members[i + 1:]:
+            if not (bits >> (u | v)) & 1:
+                return ("union", u, v)
+            if not (bits >> (u & v)) & 1:
+                return ("intersection", u, v)
+    return None
 
 
 def mask_from_points(points: Iterable[int], n: int) -> int:
@@ -126,16 +142,6 @@ class Family:
         if not 0 <= self.bits < (1 << (1 << self.n)):
             raise DomainError(f"family bits out of range for n={self.n}")
 
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "Family":
-        bits = 0
-        top = 1 << n
-        for m in members:
-            if not 0 <= m < top:
-                raise DomainError(f"subset mask {m} out of range for n={n}")
-            bits |= 1 << m
-        return cls(n, bits)
-
     def __contains__(self, subset: int) -> bool:
         return bool((self.bits >> subset) & 1)
 
@@ -157,10 +163,6 @@ class Family:
     def to_hex(self) -> str:
         width = (1 << self.n) // 4 or 1
         return format(self.bits, f"0{width}x")
-
-    @classmethod
-    def from_hex(cls, n: int, text: str) -> "Family":
-        return cls(n, int(text, 16))
 
     def to_json(self) -> dict:
         return {"n": self.n, "subsets": self.to_subsets(), "hex": self.to_hex()}

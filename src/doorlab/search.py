@@ -25,7 +25,6 @@ from .topology import (
 from .valuations import (
     EC_ZERO,
     ExactComplex,
-    ModularParams,
     SetFunction,
     ec,
     induced_family,
@@ -270,7 +269,7 @@ def _modular_solutions(
     out: list[SetFunction] = []
     for c, choices, includes_empty in cases:
         for weights in product(choices, repeat=n):
-            f = modular_compose(ModularParams(n, c, weights), includes_empty)
+            f = modular_compose(c, weights, includes_empty)
             if {f.values[m] for m in f.domain()} == value_set:
                 out.append(f)
     return _canonical_solution_order(out)

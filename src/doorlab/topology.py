@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    MAX_POINTS, ClaimFalsified, Family, complement, complement_family, full_mask, points_of,
-    popcount, subset_key, subsets_word)
+    MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, lattice_witness,
+    points_of, popcount, subset_key, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -24,12 +24,6 @@ class Topology:
     n: int
     opens: Family
 
-    def is_open(self, subset: int) -> bool:
-        return subset in self.opens
-
-    def is_closed(self, subset: int) -> bool:
-        return complement(subset, self.n) in self.opens
-
     def to_json(self) -> dict:
         return {"n": self.n, "opens": self.opens.to_subsets(), "hex": self.opens.to_hex()}
 
@@ -41,19 +35,7 @@ def _axiom_witness(n: int, bits: int) -> tuple | None:
         return ("empty",)
     if not (bits >> full_mask(n)) & 1:
         return ("whole",)
-    members = []
-    b = bits
-    while b:
-        lsb = b & -b
-        members.append(lsb.bit_length() - 1)
-        b ^= lsb
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if not (bits >> (u | v)) & 1:
-                return ("union", u, v)
-            if not (bits >> (u & v)) & 1:
-                return ("intersection", u, v)
-    return None
+    return lattice_witness(bits)
 
 
 def is_topology_bits(n: int, bits: int) -> bool:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from . import filters
 from .classify import FormDescriptor, UnconstructibleError
 from .core import (
-    DomainError, Family, check_ground, complement_family, full_mask, points_of, popcount,
-    subsets_word, supersets_word)
+    DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
+    points_of, subsets_word, supersets_word)
 from .topology import TopologyError, space_report, validate_topology
 
 
@@ -37,9 +37,6 @@ class ExactComplex:
 
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
-
-    def scale(self, k: Fraction | int) -> "ExactComplex":
-        return ExactComplex(self.re * k, self.im * k)
 
     @property
     def is_zero(self) -> bool:
@@ -196,21 +193,17 @@ def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int]
     return True, None
 
 
-@dataclass(frozen=True)
-class ModularParams:
-    """f(A) = c + sum of weights over the points of A."""
-    n: int
-    c: ExactComplex
-    weights: tuple[ExactComplex, ...]
-
-
-def modular_compose(p: ModularParams, includes_empty: bool = True) -> SetFunction:
-    """f(m) = f(m minus its lowest point) + the weight of that point: one
-    exact add per mask."""
-    vals = [p.c] * (1 << p.n)
-    for m in range(1, 1 << p.n):
-        vals[m] = vals[m & (m - 1)] + p.weights[(m & -m).bit_length() - 1]
-    return SetFunction(p.n, includes_empty, tuple(vals))
+def modular_compose(
+    c: ExactComplex, weights: tuple[ExactComplex, ...], includes_empty: bool = True
+) -> SetFunction:
+    """f(A) = c + the weights of the points of A, on n = len(weights)
+    points: f(m) = f(m minus its lowest point) + the weight of that point,
+    one exact add per mask."""
+    n = len(weights)
+    vals = [c] * (1 << n)
+    for m in range(1, 1 << n):
+        vals[m] = vals[m & (m - 1)] + weights[(m & -m).bit_length() - 1]
+    return SetFunction(n, includes_empty, tuple(vals))
 
 
 def preimage(values, members, v) -> int:
@@ -293,9 +286,27 @@ def classify_value_shape(values: list[ExactComplex]) -> dict:
     return {"shape": "Other"}
 
 
-def _in_principal(m: int, seed: int, avoid: int) -> bool:
-    """Membership in the principal ultrafilter at seed on X minus avoid."""
-    return bool((m >> seed) & 1) and not (m >> avoid) & 1
+# The explicit function of each constructible form, as one table row.  On a
+# finite set each function reads a mask m at one or two watched points only:
+# bit i of the code of m is m's bit at the i-th named point.  A row gives the
+# names of the watched points, the value at each code and the designated
+# value.  Form2 has no row: it needs free ultrafilters.
+_PART2_TABLES = {
+    "IncludedPoint": (("a",), (0, 1), 1),
+    "UltrafilterType": (("seed",), (0, 1), 1),
+    "ExcludedPoint": (("a",), (1, 0), 1),
+    "Form1A": (("seed", "a"), (0, 1, -1, 0), 1),
+    "Form1B": (("seed", "a"), (-1, 0, 0, 1), 1),
+    "Form3": (("a", "b"), (-1, 0, 0, 1), -1),
+    "T2Shape": (("p", "q"), (0, 1, 1, 2), 2),
+}
+
+
+def _code(m: int, points: tuple[int, ...]) -> int:
+    code = 0
+    for i, x in enumerate(points):
+        code |= ((m >> x) & 1) << i
+    return code
 
 
 def f_from_form(d: FormDescriptor, n: int) -> tuple[SetFunction, ExactComplex]:
@@ -303,90 +314,33 @@ def f_from_form(d: FormDescriptor, n: int) -> tuple[SetFunction, ExactComplex]:
     with its designated preimage value.  The function is a valuation and its
     induced family at the designated value reproduces the form's topology.
     """
-    if d.kind == "Form2" or d.free:
+    if d.kind not in _PART2_TABLES or d.free:
         raise UnconstructibleError(
             "unconstructible: free ultrafilters do not exist on finite sets")
-    one, zero, neg = ec(1), EC_ZERO, ec(-1)
-    vals: list[ExactComplex] = []
-
-    if d.kind in ("IncludedPoint", "UltrafilterType"):
-        point = d.a if d.kind == "IncludedPoint" else d.seed
-        vals = [one if (m >> point) & 1 else zero for m in range(1 << n)]
-        return SetFunction(n, True, tuple(vals)), one
-
-    if d.kind == "ExcludedPoint":
-        vals = [zero if (m >> d.a) & 1 else one for m in range(1 << n)]
-        return SetFunction(n, True, tuple(vals)), one
-
-    if d.kind == "Form1A":
-        a, s = d.a, d.seed
-        for m in range(1 << n):
-            if _in_principal(m, s, a):
-                vals.append(one)
-            elif not (m >> a) & 1 or _in_principal(m & ~(1 << a), s, a):
-                # outside the filter below X minus {a}, or {a} joined with
-                # a filter member
-                vals.append(zero)
-            else:
-                vals.append(neg)
-        return SetFunction(n, True, tuple(vals)), one
-
-    if d.kind == "Form1B":
-        a, s = d.a, d.seed
-        for m in range(1 << n):
-            has_a = bool((m >> a) & 1)
-            rest_in = _in_principal(m & ~(1 << a), s, a)
-            if has_a and rest_in:
-                vals.append(one)
-            elif (not has_a and _in_principal(m, s, a)) or (has_a and not rest_in):
-                vals.append(zero)
-            else:
-                vals.append(neg)
-        return SetFunction(n, True, tuple(vals)), one
-
-    if d.kind == "Form3":
-        pair = (1 << d.a) | (1 << d.b)
-        for m in range(1 << n):
-            k = popcount(m & pair)
-            vals.append((neg, zero, one)[k])
-        return SetFunction(n, True, tuple(vals)), neg
-
-    if d.kind == "T2Shape":
-        need = (1 << d.p) | (1 << d.q)
-        two = ec(2)
-        for m in range(1 << n):
-            k = popcount(m & need)
-            vals.append((zero, one, two)[k])
-        return SetFunction(n, True, tuple(vals)), two
-
-    raise DomainError(f"unknown form kind {d.kind!r}")
+    names, table, designated = _PART2_TABLES[d.kind]
+    points = tuple(getattr(d, name) for name in names)
+    by_code = [ec(v) for v in table]
+    vals = tuple(by_code[_code(m, points)] for m in range(1 << n))
+    return SetFunction(n, True, vals), ec(designated)
 
 
 # The ten pair subcases of the Form1A valuation check, keyed by the
-# unordered pair of operand categories:
+# unordered pair of the operands' Form1A codes (bit 0 the seed, bit 1 a):
 #   1: in the ultrafilter on X minus {a}
-#   2: inside X minus {a} but not in the ultrafilter
+#   0: inside X minus {a} but not in the ultrafilter
 #   3: {a} joined with an ultrafilter member
-#   4: {a} joined with a non-member
+#   2: {a} joined with a non-member
 _SUBCASE_INDEX = {
-    frozenset((1,)): 1, frozenset((1, 2)): 2, frozenset((1, 3)): 3,
-    frozenset((1, 4)): 4, frozenset((2, 3)): 5, frozenset((3,)): 6,
-    frozenset((3, 4)): 7, frozenset((2,)): 8, frozenset((2, 4)): 9,
-    frozenset((4,)): 10,
+    frozenset((1,)): 1, frozenset((1, 0)): 2, frozenset((1, 3)): 3,
+    frozenset((1, 2)): 4, frozenset((0, 3)): 5, frozenset((3,)): 6,
+    frozenset((3, 2)): 7, frozenset((0,)): 8, frozenset((0, 2)): 9,
+    frozenset((2,)): 10,
 }
 
 
 def form1a_pair_subcase(a: int, seed: int, A: int, B: int) -> int:
     """Which of the ten Form1A verification subcases the pair (A, B) is."""
-
-    def cat(m: int) -> int:
-        has_a = bool((m >> a) & 1)
-        rest_in = _in_principal(m & ~(1 << a), seed, a)
-        if not has_a:
-            return 1 if _in_principal(m, seed, a) else 2
-        return 3 if rest_in else 4
-
-    return _SUBCASE_INDEX[frozenset((cat(A), cat(B)))]
+    return _SUBCASE_INDEX[frozenset((_code(A, (seed, a)), _code(B, (seed, a))))]
 
 
 def check_inclusion_exclusion3(f: SetFunction) -> bool:
@@ -434,10 +388,11 @@ def increasing_filter_check(f: SetFunction) -> dict:
         pre = list(Family(f.n, bits).members())
         # Intersection- and upward-closure only: a constant function's
         # preimage is the whole power set, the improper filter, and the
-        # monotone-preimage fact holds in that generality.
-        inter_closed = all((bits >> (a & b)) & 1 for a in pre for b in pre)
+        # monotone-preimage fact holds in that generality.  An upward-closed
+        # family holds every union, so the lattice check tests intersections.
         upward_closed = not any(supersets_word(f.n, u) & ~bits for u in pre)
-        report["preimage_is_filter"] = bool(pre) and inter_closed and upward_closed
+        report["preimage_is_filter"] = (
+            bool(pre) and upward_closed and lattice_witness(bits) is None)
         report["preimage_is_proper"] = 0 not in pre
         report["ok"] = report["preimage_is_filter"]
     else:
@@ -467,13 +422,7 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
     up_ok = not any(sigma.bits & supersets_word(n, u) & ~upper
                     for u in Family(n, upper).members())
 
-    closed_ok = True
-    for z in vset:
-        pre = list(Family(n, preimage(values, members, z)).members())
-        for i, a in enumerate(pre):
-            for b in pre[i:]:
-                if values[a | b] != z or values[a & b] != z:
-                    closed_ok = False
+    closed_ok = all(lattice_witness(preimage(values, members, z)) is None for z in vset)
 
     return {
         "complement_split": split_ok,

@@ -22,7 +22,6 @@ from .search import (
 from .topology import lemma1_check, occ_satisfied, space_report, validate_topology
 from .valuations import (
     ExactComplex,
-    ModularParams,
     SetFunction,
     check_inclusion_exclusion3,
     classify_value_shape,
@@ -288,7 +287,7 @@ def verify_remarks() -> dict:
         for ws in product(range(-2, 3), repeat=4):
             if c + sum(w for w in ws if w < 0) < 0 or c + sum(w for w in ws if w > 0) > 2:
                 continue
-            f = modular_compose(ModularParams(4, ec(c), tuple(ec(w) for w in ws)))
+            f = modular_compose(ec(c), tuple(ec(w) for w in ws))
             rep = increasing_filter_check(f)
             checked_inc += 1
             if not rep["ok"]:
@@ -301,9 +300,7 @@ def verify_remarks() -> dict:
         (Fraction(1, 4), (Fraction(2), Fraction(1, 7), Fraction(3, 2), Fraction(6))),
     ]
     for c, ws in samples:
-        params = ModularParams(4, ExactComplex(c),
-                               tuple(ExactComplex(w) for w in ws))
-        f = modular_compose(params)
+        f = modular_compose(ExactComplex(c), tuple(ExactComplex(w) for w in ws))
         rep = increasing_filter_check(f)
         checked_inc += 1
         if not (rep["is_increasing"] and rep["ok"]):

@@ -7,6 +7,7 @@ from doorlab.core import (
     complement_family,
     compress_mask,
     full_mask,
+    lattice_witness,
     mask_from_points,
     parse_family,
     points_of,
@@ -57,9 +58,31 @@ def test_powerset_sizes():
     assert len(powerset(3)) == 8
 
 
+def reference_lattice_witness(bits):
+    """Members read by a scan over every mask, kept as the reference
+    route."""
+    members = [m for m in range(bits.bit_length()) if (bits >> m) & 1]
+    for i, u in enumerate(members):
+        for v in members[i + 1:]:
+            for kind, w in (("union", u | v), ("intersection", u & v)):
+                if not (bits >> w) & 1:
+                    return (kind, u, v)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_witness_matches_reference(n):
+    for bits in range(1 << (1 << n)):
+        assert lattice_witness(bits) == reference_lattice_witness(bits)
+
+
+def family_of(n, members):
+    return Family(n, sum(1 << m for m in members))
+
+
 def test_restrict_supersets():
     # All supersets of {0} on three points, restricted to {0, 1}.
-    fam = Family.from_members(3, [m for m in range(8) if m & 1])
+    fam = family_of(3, [m for m in range(8) if m & 1])
     got = restrict_family(fam, 0b011)
     assert got.n == 2
     assert sorted(got.members()) == [0b01, 0b11]
@@ -72,7 +95,7 @@ def test_restrict_powerset_to_singleton():
 
 
 def test_restrict_empty_result():
-    fam = Family.from_members(3, [0b111])
+    fam = family_of(3, [0b111])
     got = restrict_family(fam, 0b011)
     assert len(got) == 0
 
@@ -86,7 +109,7 @@ def test_serialization_roundtrip_exhaustive_n2():
     for bits in range(1 << 4):
         fam = Family(2, bits)
         assert parse_family(2, fam.to_subsets()).bits == bits
-        assert Family.from_hex(2, fam.to_hex()).bits == bits
+        assert int(fam.to_hex(), 16) == bits
 
 
 @given(st.integers(min_value=0, max_value=255))

@@ -1,7 +1,7 @@
 import pytest
 
 from doorlab.core import (
-    DomainError, Family, complement, full_mask, parse_family, powerset, restrict_family,
+    DomainError, Family, full_mask, lattice_witness, parse_family, powerset, restrict_family,
     supersets_word)
 from doorlab.filters import (
     algebra_from_partition,
@@ -13,6 +13,14 @@ from doorlab.filters import (
     is_ultrafilter,
     partitions_of,
 )
+
+
+def complement(m, n):
+    return full_mask(n) & ~m
+
+
+def family_of(n, members):
+    return Family(n, sum(1 << m for m in members))
 
 
 def principal_family(p, sigma):
@@ -53,20 +61,28 @@ def test_partition_cover_error():
         algebra_from_partition(3, [0b001])
 
 
+def test_filter_test_is_not_the_lattice_check():
+    # Intersection- and upward-closed within itself, but not union-closed:
+    # a filter with respect to a family that is not an algebra.
+    fam = family_of(3, [0b001, 0b011, 0b101])
+    assert is_filter(fam, fam)
+    assert lattice_witness(fam.bits) == ("union", 0b011, 0b101)
+
+
 def test_principal_is_ultrafilter():
     sigma = powerset(3)
-    fam = Family.from_members(3, [m for m in range(8) if m & 0b010])
+    fam = family_of(3, [m for m in range(8) if m & 0b010])
     assert is_ultrafilter(fam, sigma)
 
 
 def test_whole_space_alone_not_ultrafilter():
     sigma = powerset(3)
-    assert not is_ultrafilter(Family.from_members(3, [0b111]), sigma)
+    assert not is_ultrafilter(family_of(3, [0b111]), sigma)
 
 
 def test_block_ultrafilter():
     sigma = algebra_from_partition(3, [0b011, 0b100])
-    fam = Family.from_members(3, [0b011, 0b111])
+    fam = family_of(3, [0b011, 0b111])
     assert is_ultrafilter(fam, sigma)
 
 

@@ -45,8 +45,9 @@ NO_SRC_CALLER_YET = {"extend_by_zero_at_empty"}
 
 
 def test_public_src_functions_have_src_callers():
-    """A public top-level function is named somewhere else in src or is
-    exported by an __all__: API that only tests use belongs in the tests."""
+    """A public top-level function, or a public method of a top-level
+    class, is named somewhere else in src or is exported by an __all__: API
+    that only tests use belongs in the tests."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     named, exported = set(), set()
     for tree in trees:
@@ -59,8 +60,10 @@ def test_public_src_functions_have_src_callers():
             targets = getattr(node, "targets", [])
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
                 exported |= set(ast.literal_eval(node.value))
+    defs = [node for tree in trees for node in tree.body]
+    defs += [item for node in defs if isinstance(node, ast.ClassDef) for item in node.body]
     found = sorted(
-        node.name for tree in trees for node in tree.body
+        node.name for node in defs
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         and node.name not in named | exported | NO_SRC_CALLER_YET)
     assert found == []

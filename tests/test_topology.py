@@ -18,6 +18,14 @@ from doorlab.topology import (
 )
 
 
+def is_open(top, m):
+    return m in top.opens
+
+
+def is_closed(top, m):
+    return (((1 << top.n) - 1) & ~m) in top.opens
+
+
 def sierpinski():
     return validate_topology(parse_family(2, [[], [0], [0, 1]]))
 
@@ -31,7 +39,7 @@ def indiscrete(n):
 
 
 def test_validate_sierpinski():
-    assert sierpinski().is_open(0b01)
+    assert is_open(sierpinski(), 0b01)
 
 
 def test_validate_missing_whole_space():
@@ -63,18 +71,18 @@ def reference_space_report(top):
     clopen_proper = 0
     door = True
     for m in range(1 << n):
-        is_o, is_c = top.is_open(m), top.is_closed(m)
+        is_o, is_c = is_open(top, m), is_closed(top, m)
         if not is_o and not is_c:
             door = False
         if is_o and is_c and m not in (0, full):
             clopen_proper += 1
-    closed_singles = tuple(p for p in range(n) if top.is_closed(1 << p))
+    closed_singles = tuple(p for p in range(n) if is_closed(top, 1 << p))
     return SpaceReport(
         connected=clopen_proper == 0,
         door=door,
         connected_door=clopen_proper == 0 and door,
         t1=len(closed_singles) == n,
-        open_singletons=tuple(p for p in range(n) if top.is_open(1 << p)),
+        open_singletons=tuple(p for p in range(n) if is_open(top, 1 << p)),
         closed_singletons=closed_singles,
         clopen_proper_count=clopen_proper,
     )
@@ -131,7 +139,7 @@ def reference_occ_satisfied(top):
     """Closed sets found by testing every subset, kept as the reference
     route."""
     opens = sorted((m for m in top.opens.members() if m), key=subset_key)
-    closeds = sorted((m for m in range(1, 1 << top.n) if top.is_closed(m)), key=subset_key)
+    closeds = sorted((m for m in range(1, 1 << top.n) if is_closed(top, m)), key=subset_key)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
             for ic, c in enumerate(closeds):
@@ -145,11 +153,11 @@ def reference_lemma1_check(top):
     full = (1 << top.n) - 1
     for a in top.opens.members():
         for b in range(1, 1 << top.n):
-            if a == 0 or not top.is_closed(b) or a & b:
+            if a == 0 or not is_closed(top, b) or a & b:
                 continue
             rest = full & ~(a | b)
             for c in range(rest, -1, -1):
-                if c & ~rest == 0 and not (top.is_open(a | c) and top.is_closed(b | c)):
+                if c & ~rest == 0 and not (is_open(top, a | c) and is_closed(top, b | c)):
                     return False, (a, b, c)
     return True, None
 
@@ -194,8 +202,8 @@ def test_occ_vacuous_below_four_points():
 def test_lemma1_included_point_n3():
     top = construct_topology(FormDescriptor("IncludedPoint", a=0), 3)
     # A={0} open, B={1} closed, C={2}: {0,2} open and {1,2} closed.
-    assert top.is_open(0b101)
-    assert top.is_closed(0b110)
+    assert is_open(top, 0b101)
+    assert is_closed(top, 0b110)
     assert lemma1_check(top)[0]
 
 

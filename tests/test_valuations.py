@@ -4,14 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from doorlab.classify import FormDescriptor, UnconstructibleError, construct_topology
-from doorlab.core import DomainError, complement, popcount, powerset
+from doorlab.classify import (
+    VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
+from doorlab.core import DomainError, popcount, powerset
 from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.search import enumerate_solutions
 from doorlab.valuations import (
     EC_ZERO,
     ExactComplex,
-    ModularParams,
     SetFunction,
     check_inclusion_exclusion3,
     classify_value_shape,
@@ -39,7 +39,11 @@ def modular_decompose(f):
     if not ok:
         raise ValueError(f"not a valuation; violated at pair {witness}")
     c = f.values[0]
-    return ModularParams(f.n, c, tuple(f.values[1 << x] - c for x in range(f.n)))
+    return c, tuple(f.values[1 << x] - c for x in range(f.n))
+
+
+def scale(v, k):
+    return ExactComplex(v.re * k, v.im * k)
 
 
 def cardinality_fn(n, includes_empty=True):
@@ -58,7 +62,7 @@ class TestExactComplex:
         assert a + b == ExactComplex(Fraction(3, 2), Fraction(1))
         assert a - a == EC_ZERO
         assert (-a).re == -1
-        assert a.scale(2) == ec(2, 4)
+        assert a + a == ec(2, 4)
 
     def test_parse(self):
         assert parse_value("3") == ec(3)
@@ -128,8 +132,7 @@ def near_modular_functions(draw, values=SMALL_INTS, includes_empty=st.booleans()
     n = draw(st.integers(1, 3))
     c = draw(values if constant is None else constant)
     f = modular_compose(
-        ModularParams(n, c, tuple(draw(values) for _ in range(n))),
-        includes_empty=draw(includes_empty))
+        c, tuple(draw(values) for _ in range(n)), includes_empty=draw(includes_empty))
     if draw(st.booleans()):
         vals = list(f.values)
         vals[draw(st.integers(0, (1 << n) - 1))] = draw(values)
@@ -185,16 +188,16 @@ class TestDisjointAdditivity:
 
 class TestModular:
     def test_decompose_cardinality(self):
-        p = modular_decompose(cardinality_fn(3))
-        assert p.c == EC_ZERO
-        assert all(w == ec(1) for w in p.weights)
+        c, weights = modular_decompose(cardinality_fn(3))
+        assert c == EC_ZERO
+        assert all(w == ec(1) for w in weights)
 
     def test_decompose_form3_function(self):
         f, _ = f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
-        p = modular_decompose(f)
-        assert p.c == ec(-1)
-        assert p.weights == (ec(1), ec(1), ec(0), ec(0))
-        assert modular_compose(p).values == f.values
+        c, weights = modular_decompose(f)
+        assert c == ec(-1)
+        assert weights == (ec(1), ec(1), ec(0), ec(0))
+        assert modular_compose(c, weights).values == f.values
 
     def test_decompose_failure(self):
         vals = tuple(ec(1 if popcount(m) >= 2 else 0) for m in range(8))
@@ -202,13 +205,13 @@ class TestModular:
             modular_decompose(SetFunction(3, True, vals))
 
     def test_compose_satisfies_valuation(self):
-        p = ModularParams(3, ec(0), (ec(1), ec(-1), ec(0)))
-        f = modular_compose(p)
+        weights = (ec(1), ec(-1), ec(0))
+        f = modular_compose(ec(0), weights)
         assert satisfies_valuation(f)[0]
         # Disjoint additivity holds exactly when the constant term is zero.
         assert satisfies_disjoint_additivity(
             SetFunction(3, False, f.values))[0]
-        shifted = modular_compose(ModularParams(3, ec(2), p.weights))
+        shifted = modular_compose(ec(2), weights)
         assert not satisfies_disjoint_additivity(
             SetFunction(3, False, shifted.values))[0]
 
@@ -221,12 +224,11 @@ class TestModular:
             f = SetFunction(3, True, assignment)
             if satisfies_valuation(f)[0]:
                 brute.add(assignment)
-                p = modular_decompose(f)
-                assert modular_compose(p).values == assignment
+                assert modular_compose(*modular_decompose(f)).values == assignment
         modular = set()
         for c in vals3:
             for ws in product([v - c for v in vals3], repeat=3):
-                f = modular_compose(ModularParams(3, c, ws))
+                f = modular_compose(c, ws)
                 if set(f.values) <= set(vals3):
                     modular.add(f.values)
         assert brute == modular
@@ -234,8 +236,7 @@ class TestModular:
 
 class TestInducedFamily:
     def test_form1_function(self):
-        p = ModularParams(3, ec(0), (ec(-1), ec(1), ec(0)))
-        f = modular_compose(p)
+        f = modular_compose(ec(0), (ec(-1), ec(1), ec(0)))
         fam = induced_family(f, ec(1))
         assert fam.to_subsets() == [[], [1], [1, 2], [0, 1, 2]]
         from doorlab.topology import is_topology_bits
@@ -248,7 +249,7 @@ class TestInducedFamily:
         assert is_topology_bits(3, zero_fam.bits)
 
     def test_empty_preimage(self):
-        f = modular_compose(ModularParams(3, ec(0), (EC_ZERO,) * 3))
+        f = modular_compose(ec(0), (EC_ZERO,) * 3)
         assert sorted(induced_family(f, ec(1)).members()) == [0, 7]
 
 
@@ -268,7 +269,7 @@ class TestTwoValuedAdditive:
     def test_scaling_invariance(self):
         base = indicator_fn(3, 0, includes_empty=False)
         scaled = SetFunction(
-            3, False, tuple(v.scale(Fraction(3, 2)) for v in base.values))
+            3, False, tuple(scale(v, Fraction(3, 2)) for v in base.values))
         rep = verify_two_valued_additive(scaled)
         assert rep["ok"]
         assert induced_family(scaled, ec("3/2")).bits == \
@@ -339,6 +340,103 @@ class TestFFromForm:
                         == f.values[A | B] + f.values[A & B])
 
 
+def _in_principal(m, seed, avoid):
+    """Membership in the principal ultrafilter at seed on X minus avoid."""
+    return bool((m >> seed) & 1) and not (m >> avoid) & 1
+
+
+def reference_f_from_form(d, n):
+    """One branch per kind, each function spelt out by its case analysis:
+    the reference route for the table of `f_from_form`."""
+    one, zero, neg = ec(1), EC_ZERO, ec(-1)
+    vals = []
+    if d.kind in ("IncludedPoint", "UltrafilterType"):
+        point = d.a if d.kind == "IncludedPoint" else d.seed
+        vals = [one if (m >> point) & 1 else zero for m in range(1 << n)]
+        return SetFunction(n, True, tuple(vals)), one
+    if d.kind == "ExcludedPoint":
+        vals = [zero if (m >> d.a) & 1 else one for m in range(1 << n)]
+        return SetFunction(n, True, tuple(vals)), one
+    if d.kind == "Form1A":
+        a, s = d.a, d.seed
+        for m in range(1 << n):
+            if _in_principal(m, s, a):
+                vals.append(one)
+            elif not (m >> a) & 1 or _in_principal(m & ~(1 << a), s, a):
+                # outside the filter below X minus {a}, or {a} joined with
+                # a filter member
+                vals.append(zero)
+            else:
+                vals.append(neg)
+        return SetFunction(n, True, tuple(vals)), one
+    if d.kind == "Form1B":
+        a, s = d.a, d.seed
+        for m in range(1 << n):
+            has_a = bool((m >> a) & 1)
+            rest_in = _in_principal(m & ~(1 << a), s, a)
+            if has_a and rest_in:
+                vals.append(one)
+            elif (not has_a and _in_principal(m, s, a)) or (has_a and not rest_in):
+                vals.append(zero)
+            else:
+                vals.append(neg)
+        return SetFunction(n, True, tuple(vals)), one
+    if d.kind == "Form3":
+        pair = (1 << d.a) | (1 << d.b)
+        vals = [(neg, zero, one)[popcount(m & pair)] for m in range(1 << n)]
+        return SetFunction(n, True, tuple(vals)), neg
+    if d.kind == "T2Shape":
+        need = (1 << d.p) | (1 << d.q)
+        vals = [(zero, one, ec(2))[popcount(m & need)] for m in range(1 << n)]
+        return SetFunction(n, True, tuple(vals)), ec(2)
+    raise DomainError(f"unknown form kind {d.kind!r}")
+
+
+# The four operand categories of the reference subcase split:
+#   1: in the ultrafilter on X minus {a}
+#   2: inside X minus {a} but not in the ultrafilter
+#   3: {a} joined with an ultrafilter member
+#   4: {a} joined with a non-member
+REFERENCE_SUBCASE_INDEX = {
+    frozenset((1,)): 1, frozenset((1, 2)): 2, frozenset((1, 3)): 3,
+    frozenset((1, 4)): 4, frozenset((2, 3)): 5, frozenset((3,)): 6,
+    frozenset((3, 4)): 7, frozenset((2,)): 8, frozenset((2, 4)): 9,
+    frozenset((4,)): 10,
+}
+
+
+def reference_form1a_pair_subcase(a, seed, A, B):
+    def cat(m):
+        has_a = bool((m >> a) & 1)
+        rest_in = _in_principal(m & ~(1 << a), seed, a)
+        if not has_a:
+            return 1 if _in_principal(m, seed, a) else 2
+        return 3 if rest_in else 4
+
+    return REFERENCE_SUBCASE_INDEX[frozenset((cat(A), cat(B)))]
+
+
+def test_f_from_form_matches_reference_branches():
+    checked = 0
+    for n in range(2, 7):
+        for d in descriptors(n, VALID_KINDS):
+            assert f_from_form(d, n) == reference_f_from_form(d, n), (n, d)
+            checked += 1
+    assert checked == 937
+
+
+def test_form1a_subcase_matches_reference_categories():
+    n = 4
+    for a in range(n):
+        for seed in range(n):
+            if seed == a:
+                continue
+            for A in range(1 << n):
+                for B in range(1 << n):
+                    assert (form1a_pair_subcase(a, seed, A, B)
+                            == reference_form1a_pair_subcase(a, seed, A, B))
+
+
 class TestInclusionExclusion:
     def test_cardinality(self):
         assert check_inclusion_exclusion3(cardinality_fn(3))
@@ -348,7 +446,7 @@ class TestInclusionExclusion:
         assert not check_inclusion_exclusion3(SetFunction(3, True, vals))
 
     def test_modular_composition(self):
-        f = modular_compose(ModularParams(3, ec(1), (ec(-1), ec(1), ec(0))))
+        f = modular_compose(ec(1), (ec(-1), ec(1), ec(0)))
         assert check_inclusion_exclusion3(f)
 
     @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(True)))
@@ -425,8 +523,9 @@ def reference_lemma_two_valued_report(values, sigma):
     n = sigma.n
     members = list(sigma.members())
     z_pair = {values[m] for m in members}
-    split_ok = all({values[m], values[complement(m, n)]} == z_pair for m in members)
-    v_empty, v_full = values[0], values[(1 << n) - 1]
+    full = (1 << n) - 1
+    split_ok = all({values[m], values[full & ~m]} == z_pair for m in members)
+    v_empty, v_full = values[0], values[full]
     down_ok = all(values[a] == v_empty for y in members if values[y] == v_empty
                   for a in members if a & ~y == 0)
     up_ok = all(values[v] == v_full for u in members if values[u] == v_full
@@ -463,8 +562,8 @@ class TestHomogeneity:
     @given(st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 3),
                             Fraction(7, 2)]))
     def test_scaling_preserves_both_identities(self, lam):
-        f = modular_compose(ModularParams(3, ec(0), (ec(1), ec(-1), ec(2))))
-        scaled = SetFunction(3, True, tuple(v.scale(lam) for v in f.values))
+        f = modular_compose(ec(0), (ec(1), ec(-1), ec(2)))
+        scaled = SetFunction(3, True, tuple(scale(v, lam) for v in f.values))
         assert satisfies_valuation(scaled)[0]
 
 
