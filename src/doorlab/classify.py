@@ -34,7 +34,7 @@ class FormDescriptor:
     kind            parameters
     ExcludedPoint   a
     IncludedPoint   a
-    UltrafilterType seed (principal point), or free=True
+    UltrafilterType seed (principal point)
     Form1A          a, seed  (ultrafilter on X minus {a}, principal at seed)
     Form1B          a, seed  (same seed convention)
     Form2           A plus two free seeds -- never constructible here
@@ -49,7 +49,6 @@ class FormDescriptor:
     A: int | None = None
     p: int | None = None
     q: int | None = None
-    free: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in VALID_KINDS:
@@ -63,8 +62,6 @@ class FormDescriptor:
                 out[field] = v
         if self.A is not None:
             out["A"] = points_of(self.A)
-        if self.free:
-            out["free"] = True
         return out
 
 
@@ -83,7 +80,7 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
     full = full_mask(n)
     k = d.kind
 
-    if k == "Form2" or d.free:
+    if k == "Form2":
         raise UnconstructibleError(
             "unconstructible: free ultrafilters do not exist on finite sets")
 
@@ -120,7 +117,7 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require(d.a != d.b, "need distinct points a, b")
         bits = (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
 
-    elif k == "T2Shape":
+    else:  # T2Shape: __post_init__ admits no kind outside VALID_KINDS
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
         _require(d.p is None or d.p < n, "parameter p out of range")
         _require_given(d, "A")
@@ -131,9 +128,6 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require(0 <= d.q < n, "parameter q out of range")
         _require(not (d.A >> d.q) & 1, "q must lie outside A")
         bits = 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
-
-    else:
-        raise DomainError(f"unknown form kind {k!r}")
     return validate_topology(Family(n, bits))
 
 

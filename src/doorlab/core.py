@@ -8,7 +8,7 @@ mask.  With n capped at 6 a family always fits in a single 64-bit word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_POINTS = 6
 
@@ -55,10 +55,18 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+# REV8[x] is the byte x with its eight bits in reverse order.
+REV8 = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+
 def complement_family(n: int, bits: int) -> int:
     """The family of complements of the members of `bits`.  The complement
-    of mask m is full - m, so this is the family's 2^n-bit word reversed."""
-    return int(format(bits, f"0{1 << n}b")[::-1], 2)
+    of mask m is full - m, so this is the family's 2^n-bit word reversed:
+    its bytes, each reversed, read in the opposite order, less the pad bits
+    that round 2^n up to whole bytes."""
+    k = ((1 << n) + 7) // 8
+    pad = 8 * k - (1 << n)
+    return int.from_bytes(bits.to_bytes(k, "big").translate(REV8), "little") >> pad
 
 
 def subsets_word(s: int) -> int:
@@ -85,12 +93,7 @@ def lattice_witness(bits: int) -> tuple[str, int, int] | None:
     ascending order, whose union or intersection is not a member, as
     ("union" | "intersection", u, v); None when the family is closed under
     both."""
-    members = []
-    b = bits
-    while b:
-        lsb = b & -b
-        members.append(lsb.bit_length() - 1)
-        b ^= lsb
+    members = points_of(bits)
     for i, u in enumerate(members):
         for v in members[i + 1:]:
             if not (bits >> (u | v)) & 1:
@@ -109,25 +112,20 @@ def mask_from_points(points: Iterable[int], n: int) -> int:
     return mask
 
 
-def points_of(mask: int) -> list[int]:
+def points_of(word: int) -> list[int]:
+    """The set bits of `word` in ascending order: the points of a subset
+    mask, or the member masks of a family word."""
     out = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
     return out
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def subset_key(mask: int) -> tuple[int, list[int]]:
     """Canonical sort key: (cardinality, sorted point list)."""
-    return (popcount(mask), points_of(mask))
+    return (mask.bit_count(), points_of(mask))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,17 +146,9 @@ class Family:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def members(self) -> Iterator[int]:
-        """Member masks in ascending numeric order."""
-        b = self.bits
-        while b:
-            lsb = b & -b
-            yield lsb.bit_length() - 1
-            b ^= lsb
-
     def to_subsets(self) -> list[list[int]]:
         """Members as point lists, sorted by (cardinality, lexicographic)."""
-        return [points_of(m) for m in sorted(self.members(), key=subset_key)]
+        return [points_of(m) for m in sorted(points_of(self.bits), key=subset_key)]
 
     def to_hex(self) -> str:
         width = (1 << self.n) // 4 or 1
@@ -206,12 +196,12 @@ def restrict_family(fam: Family, a: int) -> Family:
     """F|_A = {F in fam : F subset of A}, re-indexed onto the points of A."""
     if not 0 <= a <= full_mask(fam.n):
         raise DomainError(f"subset mask {a} out of range for n={fam.n}")
-    k = popcount(a)
+    k = a.bit_count()
     if k == 0:
         # F|_emptyset lives on an empty ground set; represent on n=1 is wrong,
         # so reject: the paper only restricts to nonempty subsets.
         raise DomainError("cannot restrict onto the empty set")
     bits = 0
-    for m in Family(fam.n, fam.bits & subsets_word(a)).members():
+    for m in points_of(fam.bits & subsets_word(a)):
         bits |= 1 << compress_mask(m, a)
     return Family(k, bits)

@@ -46,8 +46,8 @@ def algebra_from_partition(n: int, blocks: Sequence[int]) -> Family:
 def atoms_of_algebra(sigma: Family) -> list[int]:
     """Minimal nonempty members; these are the partition blocks.  A member
     m is minimal when it is the only nonempty member of sigma inside m."""
-    return [m for m in sigma.members()
-            if m and sigma.bits & subsets_word(m) & ~1 == 1 << m]
+    return [m for m in points_of(sigma.bits & ~1)
+            if sigma.bits & subsets_word(m) & ~1 == 1 << m]
 
 
 def is_filter(fam: Family, sigma: Family) -> bool:
@@ -57,7 +57,7 @@ def is_filter(fam: Family, sigma: Family) -> bool:
         raise DomainError("filter and algebra ground sets differ")
     if fam.bits & ~sigma.bits:
         raise DomainError("family is not contained in the algebra")
-    members = list(fam.members())
+    members = points_of(fam.bits)
     if not members or 0 in fam:
         return False
     for i, u in enumerate(members):
@@ -82,11 +82,11 @@ class FilterFamily:
 
 
 def _filter_of_atom(atom: int, sigma: Family) -> FilterFamily:
-    fam = Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom))
+    bits = sigma.bits & supersets_word(sigma.n, atom)
     core = full_mask(sigma.n)
-    for m in fam.members():
+    for m in points_of(bits):
         core &= m
-    return FilterFamily(fam, is_free=(core == 0), atom=atom)
+    return FilterFamily(Family(sigma.n, bits), is_free=(core == 0), atom=atom)
 
 
 def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from .classify import classify_connected_door, form_bits
 from .core import (
     CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, complement_family,
-    full_mask, popcount, subsets_word, supersets_word)
+    full_mask, points_of, subsets_word, supersets_word)
 from .topology import (
     Topology,
     is_topology_bits,
@@ -111,7 +111,7 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     for k in range(1, n):
         full, shift, nxt = full_mask(k), 1 << k, []
         for t in words:
-            opens = [m for m in range(full + 1) if (t >> m) & 1]
+            opens = points_of(t)
             # U_x is the least member holding x, so also the numerically least.
             mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
             for u in opens:
@@ -216,7 +216,7 @@ def _brute_solutions(
 
     def consistent(m: int, cand: int) -> bool:
         if equation == "eq1_disjoint":
-            if popcount(m) < 2:
+            if m.bit_count() < 2:
                 return True
             a = (m - 1) & m
             while a:
@@ -321,9 +321,9 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
     }
 
 
-def counts_report(n: int, mode: str = "auto") -> dict:
+def counts_report(n: int) -> dict:
     check_cap("counts report", n)
-    rep, lists = census(n, mode)
+    rep, lists = census(n)
     out = {k: len(v) for k, v in lists.items()}
     out.update(rep.counts, n=n, mode=rep.mode, total_scanned=rep.total_scanned)
     if n == 1:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import (
     MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, lattice_witness,
-    points_of, popcount, subset_key, subsets_word)
+    points_of, subset_key, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -97,7 +97,7 @@ def space_report(top: Topology) -> SpaceReport:
     o = top.opens.bits
     c = complement_family(n, o)
     door = o | c == every
-    clopen_proper = popcount(o & c & ~ends)
+    clopen_proper = (o & c & ~ends).bit_count()
     connected = clopen_proper == 0
     connected_door = connected and door
 
@@ -128,9 +128,8 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
     then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
     n = top.n
-    opens = sorted((m for m in top.opens.members() if m), key=subset_key)
-    closeds = sorted(
-        Family(n, complement_family(n, top.opens.bits) & ~1).members(), key=subset_key)
+    opens = sorted(points_of(top.opens.bits & ~1), key=subset_key)
+    closeds = sorted(points_of(complement_family(n, top.opens.bits) & ~1), key=subset_key)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
             if a & b:
@@ -157,10 +156,8 @@ def lemma1_check(top: Topology) -> tuple[bool, tuple[int, int, int] | None]:
     full = full_mask(n)
     opens = top.opens.bits
     closed = complement_family(n, opens)
-    closed_nonempty = list(Family(n, closed & ~1).members())
-    for a in top.opens.members():
-        if a == 0:
-            continue
+    closed_nonempty = points_of(closed & ~1)
+    for a in points_of(opens & ~1):
         for b in closed_nonempty:
             if a & b:
                 continue

@@ -20,7 +20,7 @@ from . import filters
 from .classify import FormDescriptor, UnconstructibleError
 from .core import (
     DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
-    points_of, subsets_word, supersets_word)
+    points_of, powerset, subsets_word, supersets_word)
 from .topology import TopologyError, space_report, validate_topology
 
 
@@ -249,8 +249,7 @@ def verify_two_valued_additive(f: SetFunction) -> dict:
     zero_in_values = any(v.is_zero for v in values)
     pre_bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
     pre = Family(f.n, pre_bits)
-    sigma = Family(f.n, (1 << (1 << f.n)) - 1)
-    is_uf = filters.is_ultrafilter(pre, sigma)
+    is_uf = filters.is_ultrafilter(pre, powerset(f.n))
 
     fam = Family(f.n, pre_bits | 1)
     try:
@@ -314,7 +313,7 @@ def f_from_form(d: FormDescriptor, n: int) -> tuple[SetFunction, ExactComplex]:
     with its designated preimage value.  The function is a valuation and its
     induced family at the designated value reproduces the form's topology.
     """
-    if d.kind not in _PART2_TABLES or d.free:
+    if d.kind not in _PART2_TABLES:
         raise UnconstructibleError(
             "unconstructible: free ultrafilters do not exist on finite sets")
     names, table, designated = _PART2_TABLES[d.kind]
@@ -385,7 +384,7 @@ def increasing_filter_check(f: SetFunction) -> dict:
     report["is_valuation"] = ok_val
     if increasing and ok_val:
         bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
-        pre = list(Family(f.n, bits).members())
+        pre = points_of(bits)
         # Intersection- and upward-closure only: a constant function's
         # preimage is the whole power set, the improper filter, and the
         # monotone-preimage fact holds in that generality.  An upward-closed
@@ -405,7 +404,7 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
     on an algebra: complement values split, preimages are down/up closed,
     and both preimages are union- and intersection-closed."""
     n = sigma.n
-    members = list(sigma.members())
+    members = points_of(sigma.bits)
     vset = {values[m] for m in members}
     if len(vset) != 2:
         raise DomainError("function is not onto a two-element value set")
@@ -417,10 +416,8 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
     split_ok = not sigma.bits & ~(upper ^ complement_family(n, upper))
 
     lower = preimage(values, members, values[0])
-    down_ok = not any(sigma.bits & subsets_word(y) & ~lower
-                      for y in Family(n, lower).members())
-    up_ok = not any(sigma.bits & supersets_word(n, u) & ~upper
-                    for u in Family(n, upper).members())
+    down_ok = not any(sigma.bits & subsets_word(y) & ~lower for y in points_of(lower))
+    up_ok = not any(sigma.bits & supersets_word(n, u) & ~upper for u in points_of(upper))
 
     closed_ok = all(lattice_witness(preimage(values, members, z)) is None for z in vset)
 
@@ -433,4 +430,4 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
 
 
 def valuation_on_algebra(values: dict[int, ExactComplex | int], sigma: Family) -> bool:
-    return _valuation_witness(values, list(sigma.members()), sigma.bits) is None
+    return _valuation_witness(values, points_of(sigma.bits), sigma.bits) is None

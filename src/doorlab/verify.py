@@ -11,7 +11,7 @@ from itertools import product
 from . import filters
 from .classify import (
     VALID_KINDS, classify_connected_door, construct_topology, descriptors, form_bits)
-from .core import Family, full_mask, powerset
+from .core import Family, full_mask, points_of, powerset
 from .search import (
     census,
     compare_with_golden,
@@ -222,7 +222,7 @@ def verify_relative() -> dict:
         for blocks in filters.partitions_of(n):
             sigma = filters.algebra_from_partition(n, blocks)
             algebras += 1
-            members = list(sigma.members())
+            members = points_of(sigma.bits)
             ultras = {u.members.bits for u in filters.enumerate_ultrafilters(sigma)}
             seen_preimages = set()
             # A function onto {1, 0} is the indicator of a proper nonempty

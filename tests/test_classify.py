@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from doorlab.classify import (
@@ -9,7 +11,7 @@ from doorlab.classify import (
     descriptors,
     recognize_form,
 )
-from doorlab.core import full_mask, parse_family, points_of
+from doorlab.core import DomainError, full_mask, parse_family, points_of
 from doorlab.topology import PreconditionError, validate_topology
 
 
@@ -32,7 +34,7 @@ def test_t2shape_supersets_of_pair():
     top = construct_topology(
         FormDescriptor("T2Shape", A=0b0011, p=0, q=2), 4)
     expected = {m for m in range(16) if m & 0b0101 == 0b0101} | {0}
-    assert set(top.opens.members()) == expected
+    assert set(points_of(top.opens.bits)) == expected
 
 
 def test_form2_unconstructible():
@@ -40,9 +42,14 @@ def test_form2_unconstructible():
         construct_topology(FormDescriptor("Form2", A=0b01), 3)
 
 
-def test_free_seed_unconstructible():
-    with pytest.raises(UnconstructibleError):
-        construct_topology(FormDescriptor("UltrafilterType", free=True), 3)
+def test_unknown_kind_rejected_at_construction():
+    """`construct_topology` has no branch for an unknown kind: the
+    descriptor refuses one, also when made by `dataclasses.replace`."""
+    with pytest.raises(DomainError, match="unknown form kind"):
+        FormDescriptor("Bogus")
+    valid = FormDescriptor("T2Shape", A=0b01, p=0, q=1)
+    with pytest.raises(DomainError, match="unknown form kind"):
+        dataclasses.replace(valid, kind="Bogus")
 
 
 def test_classify_included_point_n3():

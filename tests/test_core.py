@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,12 +22,12 @@ from doorlab.core import (
 
 def test_parse_family_sierpinski():
     fam = parse_family(2, [[], [0], [0, 1]])
-    assert sorted(fam.members()) == [0b00, 0b01, 0b11]
+    assert points_of(fam.bits) == [0b00, 0b01, 0b11]
 
 
 def test_parse_family_dedup():
     fam = parse_family(3, [[0, 1], [0, 1]])
-    assert list(fam.members()) == [0b011]
+    assert points_of(fam.bits) == [0b011]
 
 
 def reference_complement_family(n, bits):
@@ -34,10 +36,46 @@ def reference_complement_family(n, bits):
     return sum(1 << m for m in range(1 << n) if (bits >> (full & ~m)) & 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def words_to_check(n):
+    """Every family word on n points for n <= 3; above that, 300 seeded
+    random words together with the empty and the full word."""
+    if n <= 3:
+        return range(1 << (1 << n))
+    rng = random.Random(n)
+    return [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(300)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_complement_family_matches_per_mask_definition(n):
-    for bits in range(1 << (1 << n)):
+    for bits in words_to_check(n):
         assert complement_family(n, bits) == reference_complement_family(n, bits)
+
+
+def reference_points_shift(word):
+    """The shift loop `points_of` used to be."""
+    out, i = [], 0
+    while word:
+        if word & 1:
+            out.append(i)
+        word >>= 1
+        i += 1
+    return out
+
+
+def reference_members(bits):
+    """The lowest-set-bit generator `Family.members` used to be."""
+    while bits:
+        lsb = bits & -bits
+        yield lsb.bit_length() - 1
+        bits ^= lsb
+
+
+def test_points_of_matches_reference():
+    rng = random.Random(64)
+    words = [w for n in (1, 2, 3) for w in words_to_check(n)]
+    words += [rng.getrandbits(64) for _ in range(2000)] + [(1 << 64) - 1]
+    for w in words:
+        assert points_of(w) == reference_points_shift(w) == list(reference_members(w))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -85,13 +123,13 @@ def test_restrict_supersets():
     fam = family_of(3, [m for m in range(8) if m & 1])
     got = restrict_family(fam, 0b011)
     assert got.n == 2
-    assert sorted(got.members()) == [0b01, 0b11]
+    assert points_of(got.bits) == [0b01, 0b11]
 
 
 def test_restrict_powerset_to_singleton():
     got = restrict_family(powerset(3), 0b100)
     assert got.n == 1
-    assert sorted(got.members()) == [0, 1]
+    assert points_of(got.bits) == [0, 1]
 
 
 def test_restrict_empty_result():

@@ -5,7 +5,7 @@ import pytest
 
 import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology
-from doorlab.core import Family, parse_family, powerset, subset_key
+from doorlab.core import Family, parse_family, points_of, powerset, subset_key
 from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
@@ -138,7 +138,7 @@ def test_occ_discrete_n4_witness():
 def reference_occ_satisfied(top):
     """Closed sets found by testing every subset, kept as the reference
     route."""
-    opens = sorted((m for m in top.opens.members() if m), key=subset_key)
+    opens = sorted((m for m in points_of(top.opens.bits) if m), key=subset_key)
     closeds = sorted((m for m in range(1, 1 << top.n) if is_closed(top, m)), key=subset_key)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
@@ -151,7 +151,7 @@ def reference_occ_satisfied(top):
 
 def reference_lemma1_check(top):
     full = (1 << top.n) - 1
-    for a in top.opens.members():
+    for a in points_of(top.opens.bits):
         for b in range(1, 1 << top.n):
             if a == 0 or not is_closed(top, b) or a & b:
                 continue

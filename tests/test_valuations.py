@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from doorlab.classify import (
     VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
-from doorlab.core import DomainError, popcount, powerset
+from doorlab.core import DomainError, points_of, powerset
 from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.search import enumerate_solutions
 from doorlab.valuations import (
@@ -47,7 +47,7 @@ def scale(v, k):
 
 
 def cardinality_fn(n, includes_empty=True):
-    vals = tuple(ec(popcount(m)) for m in range(1 << n))
+    vals = tuple(ec(m.bit_count()) for m in range(1 << n))
     return SetFunction(n, includes_empty, vals)
 
 
@@ -150,7 +150,7 @@ class TestValuation:
         assert satisfies_valuation(SetFunction(3, True, vals))[0]
 
     def test_threshold_violates_with_witness(self):
-        vals = tuple(ec(1 if popcount(m) >= 2 else 0) for m in range(8))
+        vals = tuple(ec(1 if m.bit_count() >= 2 else 0) for m in range(8))
         ok, witness = satisfies_valuation(SetFunction(3, True, vals))
         assert not ok
         assert witness == (0b001, 0b010)
@@ -200,7 +200,7 @@ class TestModular:
         assert modular_compose(c, weights).values == f.values
 
     def test_decompose_failure(self):
-        vals = tuple(ec(1 if popcount(m) >= 2 else 0) for m in range(8))
+        vals = tuple(ec(1 if m.bit_count() >= 2 else 0) for m in range(8))
         with pytest.raises(ValueError, match="pair"):
             modular_decompose(SetFunction(3, True, vals))
 
@@ -245,12 +245,12 @@ class TestInducedFamily:
         # {empty, {0,1}, {2}, X}, a valid topology; the axiom check
         # decides mechanically either way.
         zero_fam = induced_family(f, ec(0))
-        assert sorted(zero_fam.members()) == [0b000, 0b011, 0b100, 0b111]
+        assert points_of(zero_fam.bits) == [0b000, 0b011, 0b100, 0b111]
         assert is_topology_bits(3, zero_fam.bits)
 
     def test_empty_preimage(self):
         f = modular_compose(ec(0), (EC_ZERO,) * 3)
-        assert sorted(induced_family(f, ec(1)).members()) == [0, 7]
+        assert points_of(induced_family(f, ec(1)).bits) == [0, 7]
 
 
 class TestTwoValuedAdditive:
@@ -312,7 +312,7 @@ class TestFFromForm:
         f, designated = f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
         assert designated == ec(-1)
         for m in range(16):
-            assert f.values[m] == ec(popcount(m & 0b0011) - 1)
+            assert f.values[m] == ec((m & 0b0011).bit_count() - 1)
         top = construct_topology(FormDescriptor("Form3", a=0, b=1), 4)
         assert induced_family(f, designated).bits == top.opens.bits
 
@@ -383,11 +383,11 @@ def reference_f_from_form(d, n):
         return SetFunction(n, True, tuple(vals)), one
     if d.kind == "Form3":
         pair = (1 << d.a) | (1 << d.b)
-        vals = [(neg, zero, one)[popcount(m & pair)] for m in range(1 << n)]
+        vals = [(neg, zero, one)[(m & pair).bit_count()] for m in range(1 << n)]
         return SetFunction(n, True, tuple(vals)), neg
     if d.kind == "T2Shape":
         need = (1 << d.p) | (1 << d.q)
-        vals = [(zero, one, ec(2))[popcount(m & need)] for m in range(1 << n)]
+        vals = [(zero, one, ec(2))[(m & need).bit_count()] for m in range(1 << n)]
         return SetFunction(n, True, tuple(vals)), ec(2)
     raise DomainError(f"unknown form kind {d.kind!r}")
 
@@ -442,7 +442,7 @@ class TestInclusionExclusion:
         assert check_inclusion_exclusion3(cardinality_fn(3))
 
     def test_non_valuation_fails(self):
-        vals = tuple(ec(1 if popcount(m) >= 2 else 0) for m in range(8))
+        vals = tuple(ec(1 if m.bit_count() >= 2 else 0) for m in range(8))
         assert not check_inclusion_exclusion3(SetFunction(3, True, vals))
 
     def test_modular_composition(self):
@@ -488,7 +488,7 @@ class TestIncreasing:
         assert rep["is_increasing"] and rep["ok"]
 
     def test_decreasing_skipped(self):
-        vals = tuple(ec(-popcount(m)) for m in range(8))
+        vals = tuple(ec(-m.bit_count()) for m in range(8))
         rep = increasing_filter_check(SetFunction(3, True, vals))
         assert not rep["is_increasing"] and rep["ok"]
 
@@ -521,7 +521,7 @@ def reference_lemma_two_valued_report(values, sigma):
     """The member loops of the two-valued lemma, kept as the reference
     route."""
     n = sigma.n
-    members = list(sigma.members())
+    members = points_of(sigma.bits)
     z_pair = {values[m] for m in members}
     full = (1 << n) - 1
     split_ok = all({values[m], values[full & ~m]} == z_pair for m in members)
@@ -547,7 +547,7 @@ def test_lemma_report_same_for_int_and_exact_values(n):
     # Every function onto {1, 0} on every block algebra, valuation or not.
     for blocks in partitions_of(n):
         sigma = algebra_from_partition(n, blocks)
-        members = list(sigma.members())
+        members = points_of(sigma.bits)
         p = sigma.bits
         while p := (p - 1) & sigma.bits:
             ints = {m: (p >> m) & 1 for m in members}
