@@ -51,6 +51,12 @@ def check_ground(n: int) -> None:
         raise DomainError(f"ground set size {n} outside [1, {MAX_POINTS}]")
 
 
+# WORD_END[n] bounds the family words of n points; HEX_SPEC[n] formats one
+# as 2^n / 4 hex digits.
+WORD_END = tuple(1 << (1 << n) for n in range(MAX_POINTS + 1))
+HEX_SPEC = tuple(f"0{(1 << n) // 4 or 1}x" for n in range(MAX_POINTS + 1))
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -136,8 +142,8 @@ class Family:
     bits: int
 
     def __post_init__(self) -> None:
-        check_ground(self.n)
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if not (0 < self.n <= MAX_POINTS and 0 <= self.bits < WORD_END[self.n]):
+            check_ground(self.n)
             raise DomainError(f"family bits out of range for n={self.n}")
 
     def __contains__(self, subset: int) -> bool:
@@ -151,8 +157,7 @@ class Family:
         return [points_of(m) for m in sorted(points_of(self.bits), key=subset_key)]
 
     def to_hex(self) -> str:
-        width = (1 << self.n) // 4 or 1
-        return format(self.bits, f"0{width}x")
+        return format(self.bits, HEX_SPEC[self.n])
 
     def to_json(self) -> dict:
         return {"n": self.n, "subsets": self.to_subsets(), "hex": self.to_hex()}

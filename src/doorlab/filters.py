@@ -77,25 +77,17 @@ def is_ultrafilter(fam: Family, sigma: Family) -> bool:
 @dataclass(frozen=True)
 class FilterFamily:
     members: Family
-    is_free: bool
     atom: int
-
-
-def _filter_of_atom(atom: int, sigma: Family) -> FilterFamily:
-    bits = sigma.bits & supersets_word(sigma.n, atom)
-    core = full_mask(sigma.n)
-    for m in points_of(bits):
-        core &= m
-    return FilterFamily(Family(sigma.n, bits), is_free=(core == 0), atom=atom)
 
 
 def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:
     """All ultrafilters with respect to sigma: one per atom (block)."""
     if not is_algebra(sigma):
         raise DomainError("family is not an algebra")
-    out = [_filter_of_atom(atom, sigma) for atom in atoms_of_algebra(sigma)]
+    out = [FilterFamily(Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom)), atom)
+           for atom in atoms_of_algebra(sigma)]
     for f in out:
-        if f.is_free or not is_ultrafilter(f.members, sigma):
+        if not is_ultrafilter(f.members, sigma):
             raise ClaimFalsified("ultrafilters on a finite algebra are principal",
                                  {"sigma": sigma.to_subsets(), "atom": points_of(f.atom)})
     return out

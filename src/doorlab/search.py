@@ -110,8 +110,12 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     words = [3]
     for k in range(1, n):
         full, shift, nxt = full_mask(k), 1 << k, []
+        # Per mask m: the subsets of m, and the supersets of m shifted onto
+        # the masks holding k, so (t << shift) & sup[a] = (t & supersets) << shift.
+        sub = [subsets_word(m) for m in range(shift)]
+        sup = [supersets_word(k, m) << shift for m in range(shift)]
         for t in words:
-            opens = points_of(t)
+            opens, high = points_of(t), t << shift
             # U_x is the least member holding x, so also the numerically least.
             mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
             for u in opens:
@@ -119,9 +123,8 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
                 for x in range(k):
                     if not (u >> x) & 1:
                         cap &= mins[x]
-                low = t & subsets_word(u)
-                nxt += [low | ((t & supersets_word(k, a)) << shift)
-                        for a in opens if not a & ~cap]
+                low = t & sub[u]
+                nxt += [low | (high & sup[a]) for a in opens if not a & ~cap]
         words = nxt
     return words, len(words)
 

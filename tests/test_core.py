@@ -90,6 +90,26 @@ def test_parse_family_out_of_range():
         parse_family(2, [[5]])
 
 
+@pytest.mark.parametrize("n,bits,message", [
+    (0, 0, "ground set size 0 outside [1, 6]"),
+    (7, 0, "ground set size 7 outside [1, 6]"),
+    (3, -1, "family bits out of range for n=3"),
+    (3, 1 << 8, "family bits out of range for n=3"),
+    (6, 1 << 64, "family bits out of range for n=6"),
+    (1, 1 << 2, "family bits out of range for n=1"),
+])
+def test_family_error_messages(n, bits, message):
+    with pytest.raises(DomainError) as exc:
+        Family(n, bits)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8), (6, 16)])
+def test_family_hex_width(n, width):
+    assert Family(n, 1).to_hex() == "0" * (width - 1) + "1"
+    assert len(Family(n, (1 << (1 << n)) - 1).to_hex()) == width
+
+
 def test_powerset_sizes():
     assert len(powerset(1)) == 2
     assert len(powerset(2)) == 4

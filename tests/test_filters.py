@@ -109,7 +109,12 @@ def test_enumerate_ultrafilters_matches_brute_scan(n):
     # Every finite ultrafilter is principal at exactly one point.
     principal = {principal_family(p, sigma).bits for p in range(n)}
     assert principal == set(fast)
-    assert all(not u.is_free for u in enumerate_ultrafilters(sigma))
+    # Each one is principal: its members meet in its atom, which is nonempty.
+    for u in enumerate_ultrafilters(sigma):
+        meet = full_mask(n)
+        for m in points_of(u.members.bits):
+            meet &= m
+        assert meet == u.atom != 0
 
 
 def test_enumerate_block_ultrafilters():

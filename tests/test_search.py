@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,14 @@ def test_closure_dfs_counts_through_six_points():
     for n, count in {**TOPOLOGY_COUNTS, 6: 209527}.items():
         words, visited = _closure_dfs(n)
         assert len(words) == len(set(words)) == visited == count
+
+
+def test_closure_dfs_six_point_words_match_recorded_digest():
+    # sha256 of the sorted n = 6 words, one decimal per line, recorded from
+    # the extension before its per-level subset and superset tables.
+    words = sorted(_closure_dfs(6)[0])
+    digest = hashlib.sha256("\n".join(map(str, words)).encode()).hexdigest()
+    assert digest == "ca6dd369f54f7bcd3af57225d025ee655ebe2377b2b5825cff75ed785c16c795"
 
 
 def test_raw_scan_cap():

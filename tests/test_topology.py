@@ -88,10 +88,27 @@ def reference_space_report(top):
     )
 
 
+# Distinct reports per n, counted before equal reports were shared.
+DISTINCT_REPORTS = {1: 1, 2: 4, 3: 29, 4: 185, 5: 1043}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_space_report_matches_per_subset_reference(n):
+    seen = {}
     for top in enumerate_topologies(n)[0]:
-        assert space_report(top) == reference_space_report(top)
+        r = space_report(top)
+        assert r == reference_space_report(top)
+        # Equal reports are one shared instance.
+        assert seen.setdefault(r, r) is r
+    assert len(seen) == DISTINCT_REPORTS[n]
+
+
+def test_replace_leaves_shared_report_unchanged():
+    shared = space_report(discrete(3))
+    fields = shared.to_json()
+    changed = replace(shared, t1=not shared.t1)
+    assert changed is not shared and changed.t1 != shared.t1
+    assert space_report(discrete(3)) is shared and shared.to_json() == fields
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
