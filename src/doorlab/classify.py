@@ -75,7 +75,10 @@ def _require_given(d: FormDescriptor, *names: str) -> None:
         _require(getattr(d, name) is not None, f"parameter {name} missing")
 
 
-def construct_topology(d: FormDescriptor, n: int) -> Topology:
+def form_word(d: FormDescriptor, n: int) -> int:
+    """The family word of the form `d` on n points, after the one check of
+    its parameters that `construct_topology` and `valuations.f_from_form`
+    share."""
     check_ground(n)  # before any 2^n-bit word is built
     full = full_mask(n)
     k = d.kind
@@ -87,14 +90,14 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
     if k == "ExcludedPoint":
         _require_given(d, "a")
         _require(0 <= d.a < n, "parameter a out of range")
-        bits = (1 << full) | subsets_word(full & ~(1 << d.a))
+        return (1 << full) | subsets_word(full & ~(1 << d.a))
 
     elif k in ("IncludedPoint", "UltrafilterType"):
         name = "a" if k == "IncludedPoint" else "seed"
         _require_given(d, name)
         point = getattr(d, name)
         _require(0 <= point < n, f"parameter {name} out of range")
-        bits = 1 | supersets_word(n, 1 << point)
+        return 1 | supersets_word(n, 1 << point)
 
     elif k in ("Form1A", "Form1B"):
         _require_given(d, "a")
@@ -108,14 +111,14 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         else:
             # {a} joined with a filter member: supersets of {a, seed}
             filt = supersets_word(n, (1 << d.a) | (1 << d.seed))
-        bits = 1 | (1 << full) | filt
+        return 1 | (1 << full) | filt
 
     elif k == "Form3":
         _require_given(d, "a", "b")
         _require(0 <= d.a < n, "parameter a out of range")
         _require(0 <= d.b < n, "parameter b out of range")
         _require(d.a != d.b, "need distinct points a, b")
-        bits = (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
+        return (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
 
     else:  # T2Shape: __post_init__ admits no kind outside VALID_KINDS
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
@@ -127,8 +130,11 @@ def construct_topology(d: FormDescriptor, n: int) -> Topology:
         _require_given(d, "q")
         _require(0 <= d.q < n, "parameter q out of range")
         _require(not (d.A >> d.q) & 1, "q must lie outside A")
-        bits = 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
-    return validate_topology(Family(n, bits))
+        return 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
+
+
+def construct_topology(d: FormDescriptor, n: int) -> Topology:
+    return validate_topology(Family(n, form_word(d, n)))
 
 
 @dataclass(frozen=True)
@@ -167,12 +173,12 @@ def descriptors(n: int, kinds: tuple[str, ...]) -> list[FormDescriptor]:
 def form_bits(n: int, kinds: tuple[str, ...]) -> set[int]:
     """The family words of the constructible instances of `kinds` on n
     points, one per distinct topology."""
-    return {construct_topology(d, n).opens.bits for d in descriptors(n, kinds)}
+    return {construct_topology(d, n).bits for d in descriptors(n, kinds)}
 
 
 def _matching(top: Topology, kinds: tuple[str, ...]) -> tuple[FormDescriptor, ...]:
     return tuple(d for d in descriptors(top.n, kinds)
-                 if construct_topology(d, top.n).opens == top.opens)
+                 if construct_topology(d, top.n) == top)
 
 
 def classify_connected_door(top: Topology) -> ClassificationLabel:
@@ -188,7 +194,7 @@ def classify_connected_door(top: Topology) -> ClassificationLabel:
     labels = _matching(top, ("ExcludedPoint", "IncludedPoint"))
     if not labels:
         raise ClaimFalsified("connected door space has a finite type",
-                             {"n": n, "hex": top.opens.to_hex()})
+                             {"n": n, "hex": top.to_hex()})
     return ClassificationLabel(labels)
 
 

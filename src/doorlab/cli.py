@@ -63,10 +63,6 @@ def _descriptor_from_args(args) -> FormDescriptor:
                           A=A, p=args.p, q=args.q)
 
 
-def _family_from_arg(n: int, text: str):
-    return parse_family(n, json.loads(text))
-
-
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
@@ -144,8 +140,7 @@ def _run_verb(args) -> int:
             _emit(result.to_json(), args.out)
 
         elif args.verb == "check":
-            fam = _family_from_arg(args.n, args.family)
-            top = validate_topology(fam)
+            top = validate_topology(parse_family(args.n, json.loads(args.family)))
             doc = {"topology": top.to_json(), "report": space_report(top).to_json()}
             occ, witness = occ_satisfied(top)
             doc["occ"] = occ
@@ -156,8 +151,7 @@ def _run_verb(args) -> int:
             _emit(doc, args.out)
 
         elif args.verb == "classify":
-            fam = _family_from_arg(args.n, args.family)
-            top = validate_topology(fam)
+            top = validate_topology(parse_family(args.n, json.loads(args.family)))
             doc: dict = {"forms": recognize_form(top).to_json()}
             if space_report(top).connected_door or args.n == 1:
                 doc["connected_door"] = classify_connected_door(top).to_json()
@@ -175,7 +169,7 @@ def _run_verb(args) -> int:
             if args.what == "topologies":
                 tops, rep = enumerate_topologies(args.n, args.mode)
                 _emit({"report": rep.to_json(),
-                       "topologies": [t.opens.to_hex() for t in tops]}, args.out)
+                       "topologies": [t.to_hex() for t in tops]}, args.out)
             elif args.what == "connected-door":
                 tops = census(args.n, args.mode)[1]["connected_door"]
                 _emit({"n": args.n, "count": len(tops),

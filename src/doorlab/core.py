@@ -159,9 +159,6 @@ class Family:
     def to_hex(self) -> str:
         return format(self.bits, HEX_SPEC[self.n])
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "subsets": self.to_subsets(), "hex": self.to_hex()}
-
 
 def parse_family(n: int, subsets: list[list[int]]) -> Family:
     """Build a family from point lists, as decoded from JSON; duplicates

@@ -4,12 +4,11 @@ partition and every ultrafilter is principal at a block."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ClaimFalsified, DomainError, Family, complement_family, full_mask, lattice_witness,
-    points_of, subsets_word, supersets_word)
+    ClaimFalsified, DomainError, Family, check_ground, complement_family, full_mask,
+    lattice_witness, points_of, subsets_word, supersets_word)
 
 
 def is_algebra(fam: Family) -> bool:
@@ -22,10 +21,13 @@ def is_algebra(fam: Family) -> bool:
 
 def algebra_from_partition(n: int, blocks: Sequence[int]) -> Family:
     """All unions of blocks of a partition of the ground set."""
+    check_ground(n)
     if not blocks:
         raise DomainError("partition needs at least one block")
     seen = 0
     for b in blocks:
+        if b < 0 or b >> n:
+            raise DomainError(f"block {b} out of range for n={n}")
         if b == 0:
             raise DomainError("empty block in partition")
         if b & seen:
@@ -74,22 +76,18 @@ def is_ultrafilter(fam: Family, sigma: Family) -> bool:
     return is_filter(fam, sigma) and not sigma.bits & ~(f ^ complement_family(fam.n, f))
 
 
-@dataclass(frozen=True)
-class FilterFamily:
-    members: Family
-    atom: int
-
-
-def enumerate_ultrafilters(sigma: Family) -> list[FilterFamily]:
-    """All ultrafilters with respect to sigma: one per atom (block)."""
+def enumerate_ultrafilters(sigma: Family) -> list[Family]:
+    """All ultrafilters with respect to sigma: the principal one at each
+    atom (block), in `atoms_of_algebra` order."""
     if not is_algebra(sigma):
         raise DomainError("family is not an algebra")
-    out = [FilterFamily(Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom)), atom)
-           for atom in atoms_of_algebra(sigma)]
-    for f in out:
-        if not is_ultrafilter(f.members, sigma):
+    out = []
+    for atom in atoms_of_algebra(sigma):
+        u = Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom))
+        if not is_ultrafilter(u, sigma):
             raise ClaimFalsified("ultrafilters on a finite algebra are principal",
-                                 {"sigma": sigma.to_subsets(), "atom": points_of(f.atom)})
+                                 {"sigma": sigma.to_subsets(), "atom": points_of(atom)})
+        out.append(u)
     return out
 
 

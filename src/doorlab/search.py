@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .classify import classify_connected_door, form_bits
 from .core import (
-    CAPS, CapabilityError, ClaimFalsified, Family, check_cap, check_ground, complement_family,
+    CAPS, CapabilityError, ClaimFalsified, check_cap, check_ground, complement_family,
     full_mask, points_of, subsets_word, supersets_word)
 from .topology import (
     Topology,
@@ -147,7 +147,7 @@ def topology_words(n: int, mode: str = "auto") -> tuple[list[int], EnumerationRe
 
 def enumerate_topologies(n: int, mode: str = "auto") -> tuple[list[Topology], EnumerationReport]:
     words, report = topology_words(n, mode)
-    return [Topology(n, Family(n, b)) for b in words], report
+    return [Topology(n, b) for b in words], report
 
 
 def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, list[Topology]]]:
@@ -160,7 +160,7 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
     cross-check fails on no other word, as open xor closed implies door."""
     words, rep = topology_words(n, mode)
     every = (1 << (1 << n)) - 1
-    door = [Topology(n, Family(n, b)) for b in words if b | complement_family(n, b) == every]
+    door = [Topology(n, b) for b in words if b | complement_family(n, b) == every]
     lists: dict[str, list[Topology]] = {"door": door, "connected_door": []}
     if n >= 4:
         lists["occ_door"] = []
@@ -170,7 +170,7 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
             lists["occ_door"].append(t)
             if not r.connected_door:
                 raise ClaimFalsified("door + OCC implies connected door",
-                                     {"n": n, "hex": t.opens.to_hex()})
+                                     {"n": n, "hex": t.to_hex()})
         if r.connected_door:
             lists["connected_door"].append(t)
     if n >= 2:
@@ -183,7 +183,7 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
             labels = classify_connected_door(t).labels
             if not all(d.kind in ("ExcludedPoint", "IncludedPoint") for d in labels):
                 raise ClaimFalsified("connected door spaces are point topologies",
-                                     {"n": n, "hex": t.opens.to_hex()})
+                                     {"n": n, "hex": t.to_hex()})
     return rep, lists
 
 

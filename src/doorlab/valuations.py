@@ -13,11 +13,12 @@ loop runs on the exact integer codes of `int_codes`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import filters
-from .classify import FormDescriptor, UnconstructibleError
+from .classify import FormDescriptor, form_word
 from .core import (
     DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
     points_of, powerset, subsets_word, supersets_word)
@@ -68,30 +69,36 @@ def ec(re, im=0) -> ExactComplex:
     return ExactComplex(Fraction(re), Fraction(im))
 
 
+def _fraction(part: str, text: str) -> Fraction:
+    """Fraction(part), for a part of the value literal `text`.  An exponent
+    beyond the int digit limit is refused before Fraction expands 10**exp,
+    which that limit does not bound."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        exp = part.lower().partition("e")[2]
+        if not (exp and limit and abs(int(exp)) > limit):
+            return Fraction(part)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse value {text!r}") from exc
+    raise DomainError(f"exponent of value {text!r} exceeds {limit}")
+
+
 def parse_value(text: str) -> ExactComplex:
     """Parse '3', '-1/2', '2i', '1+2i', '1/2-3/4i', '1e-2+1e-3i'."""
     t = text.strip().replace(" ", "")
     if not t:
         raise DomainError("empty value")
-    try:
-        if t.endswith("i"):
-            body = t[:-1]
-            # The last sign that does not open an exponent, as in 1e-3.
-            split = next((i for i in range(len(body) - 1, 0, -1)
-                          if body[i] in "+-" and body[i - 1] not in "eE"), 0)
-            re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("", body)
-            if im_txt in ("", "+"):
-                im_part = Fraction(1)
-            elif im_txt == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(im_txt)
-            re_part = Fraction(re_txt) if re_txt else Fraction(0)
-        else:
-            re_part, im_part = Fraction(t), Fraction(0)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse value {text!r}") from exc
-    return ExactComplex(re_part, im_part)
+    if not t.endswith("i"):
+        return ExactComplex(_fraction(t, text))
+    body = t[:-1]
+    # The last sign that does not open an exponent, as in 1e-3.
+    split = next((i for i in range(len(body) - 1, 0, -1)
+                  if body[i] in "+-" and body[i - 1] not in "eE"), 0)
+    re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("", body)
+    # "i" alone, or after a bare sign, is 1i.
+    im_txt += "1" if im_txt in ("", "+", "-") else ""
+    return ExactComplex(_fraction(re_txt, text) if re_txt else Fraction(0),
+                        _fraction(im_txt, text))
 
 
 @dataclass(frozen=True)
@@ -313,9 +320,7 @@ def f_from_form(d: FormDescriptor, n: int) -> tuple[SetFunction, ExactComplex]:
     with its designated preimage value.  The function is a valuation and its
     induced family at the designated value reproduces the form's topology.
     """
-    if d.kind not in _PART2_TABLES:
-        raise UnconstructibleError(
-            "unconstructible: free ultrafilters do not exist on finite sets")
+    form_word(d, n)  # refuses exactly the descriptors construct_topology refuses
     names, table, designated = _PART2_TABLES[d.kind]
     points = tuple(getattr(d, name) for name in names)
     by_code = [ec(v) for v in table]

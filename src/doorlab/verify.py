@@ -87,8 +87,8 @@ def verify_occ_converse() -> dict:
     per_n = {}
     for n in (4, 5):
         lists = census(n)[1]
-        occ = {t.opens.bits for t in lists["occ_door"]}
-        cd = {t.opens.bits for t in lists["connected_door"]}
+        occ = {t.bits for t in lists["occ_door"]}
+        cd = {t.bits for t in lists["connected_door"]}
         per_n[n] = {"door_occ": len(occ), "connected_door": len(cd)}
         ok = ok and occ == cd
     return {"id": "occ-converse", "ok": ok, "per_n": per_n}
@@ -192,7 +192,7 @@ def verify_part2() -> dict:
             f, designated = f_from_form(d, n)
             if not satisfies_valuation(f)[0]:
                 ok = False
-            if induced_family(f, designated).bits != construct_topology(d, n).opens.bits:
+            if induced_family(f, designated).bits != construct_topology(d, n).bits:
                 ok = False
             checked += 1
 
@@ -223,7 +223,7 @@ def verify_relative() -> dict:
             sigma = filters.algebra_from_partition(n, blocks)
             algebras += 1
             members = points_of(sigma.bits)
-            ultras = {u.members.bits for u in filters.enumerate_ultrafilters(sigma)}
+            ultras = {u.bits for u in filters.enumerate_ultrafilters(sigma)}
             seen_preimages = set()
             # A function onto {1, 0} is the indicator of a proper nonempty
             # subfamily p of sigma.

@@ -17,24 +17,24 @@ from doorlab.topology import PreconditionError, validate_topology
 
 def test_excluded_point_n3():
     top = construct_topology(FormDescriptor("ExcludedPoint", a=2), 3)
-    assert top.opens.to_subsets() == [[], [0], [1], [0, 1], [0, 1, 2]]
+    assert top.to_subsets() == [[], [0], [1], [0, 1], [0, 1, 2]]
 
 
 def test_form3_n4():
     top = construct_topology(FormDescriptor("Form3", a=0, b=1), 4)
-    assert top.opens.to_subsets() == [[], [2], [3], [2, 3], [0, 1, 2, 3]]
+    assert top.to_subsets() == [[], [2], [3], [2, 3], [0, 1, 2, 3]]
 
 
 def test_form1a_n3():
     top = construct_topology(FormDescriptor("Form1A", a=0, seed=1), 3)
-    assert top.opens.to_subsets() == [[], [1], [1, 2], [0, 1, 2]]
+    assert top.to_subsets() == [[], [1], [1, 2], [0, 1, 2]]
 
 
 def test_t2shape_supersets_of_pair():
     top = construct_topology(
         FormDescriptor("T2Shape", A=0b0011, p=0, q=2), 4)
     expected = {m for m in range(16) if m & 0b0101 == 0b0101} | {0}
-    assert set(points_of(top.opens.bits)) == expected
+    assert set(points_of(top.bits)) == expected
 
 
 def test_form2_unconstructible():
@@ -181,4 +181,4 @@ def reference_construct_bits(d, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_construct_matches_per_mask_reference(n):
     for d in descriptors(n, VALID_KINDS):
-        assert construct_topology(d, n).opens.bits == reference_construct_bits(d, n)
+        assert construct_topology(d, n).bits == reference_construct_bits(d, n)

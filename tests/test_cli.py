@@ -3,11 +3,15 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from doorlab.cli import run
+from doorlab.classify import UnconstructibleError, construct_topology
+from doorlab.cli import _descriptor_from_args, build_parser, run
+from doorlab.core import DomainError
+from doorlab.valuations import f_from_form
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -202,7 +206,7 @@ def test_closed_stdout_ends_like_a_unix_filter():
     assert err == b""
 
 
-@pytest.mark.parametrize("form, params, missing", [
+MISSING_CASES = [
     ("excluded-point", [], "a"),
     ("included-point", [], "a"),
     ("ultrafilter", [], "seed"),
@@ -215,16 +219,8 @@ def test_closed_stdout_ends_like_a_unix_filter():
     ("t2", [], "A"),
     ("t2", ["--A", "0", "--q", "1"], "p"),
     ("t2", ["--p", "0"], "q"),
-])
-def test_construct_missing_parameter_is_named(capsys, form, params, missing):
-    code, out, err = capture(capsys, [
-        "construct", "--form", form, "--n", "3", *params])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: parameter {missing} missing\n"
-
-
-@pytest.mark.parametrize("form, params, name", [
+]
+OUT_OF_RANGE_CASES = [
     ("excluded-point", ["--a", "3"], "a"),
     ("included-point", ["--a", "3"], "a"),
     ("included-point", ["--a", "-1"], "a"),
@@ -237,7 +233,24 @@ def test_construct_missing_parameter_is_named(capsys, form, params, missing):
     ("t2", ["--A", "0", "--p", "0", "--q", "-1"], "q"),
     ("t2", ["--p", "5", "--q", "1"], "p"),
     ("t2", ["--A", "0", "--p", "3", "--q", "1"], "p"),
-])
+]
+CONFLICT_CASES = [
+    ("form1a", ["--a", "0", "--seed", "0"], "seed must be a point distinct from a"),
+    ("form3", ["--a", "1", "--b", "1"], "need distinct points a, b"),
+    ("t2", ["--A", "0", "--p", "0", "--q", "0"], "q must lie outside A"),
+]
+
+
+@pytest.mark.parametrize("form, params, missing", MISSING_CASES)
+def test_construct_missing_parameter_is_named(capsys, form, params, missing):
+    code, out, err = capture(capsys, [
+        "construct", "--form", form, "--n", "3", *params])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parameter {missing} missing\n"
+
+
+@pytest.mark.parametrize("form, params, name", OUT_OF_RANGE_CASES)
 def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
     code, out, err = capture(capsys, [
         "construct", "--form", form, "--n", "3", *params])
@@ -246,17 +259,43 @@ def test_construct_out_of_range_parameter_is_named(capsys, form, params, name):
     assert err == f"error: parameter {name} out of range\n"
 
 
-@pytest.mark.parametrize("form, params, message", [
-    ("form1a", ["--a", "0", "--seed", "0"], "seed must be a point distinct from a"),
-    ("form3", ["--a", "1", "--b", "1"], "need distinct points a, b"),
-    ("t2", ["--A", "0", "--p", "0", "--q", "0"], "q must lie outside A"),
-])
+@pytest.mark.parametrize("form, params, message", CONFLICT_CASES)
 def test_construct_in_range_conflict_keeps_its_message(capsys, form, params, message):
     code, out, err = capture(capsys, [
         "construct", "--form", form, "--n", "3", *params])
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("form, params, message", [
+    *[(f, p, f"parameter {name} missing") for f, p, name in MISSING_CASES],
+    *[(f, p, f"parameter {name} out of range") for f, p, name in OUT_OF_RANGE_CASES],
+    *CONFLICT_CASES,
+    ("form2", [], "unconstructible: free ultrafilters do not exist on finite sets"),
+])
+def test_f_from_form_refuses_what_construct_refuses(form, params, message):
+    args = build_parser().parse_args(["construct", "--form", form, "--n", "3", *params])
+    d = _descriptor_from_args(args)
+    errors = []
+    for build in (construct_topology, f_from_form):
+        with pytest.raises((DomainError, UnconstructibleError)) as exc:
+            build(d, 3)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message
+
+
+def test_solve_huge_exponent_is_refused_before_expanding():
+    # Fraction would build 10**9999999 (seconds of work) before failing.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "doorlab.cli", "solve", "--n", "2", "--values=1e9999999,0"],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: exponent of value '1e9999999' exceeds 4300\n"
 
 
 def test_solve_reads_exponent_values(capsys):

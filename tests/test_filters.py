@@ -1,8 +1,9 @@
 import pytest
 
+import doorlab.filters as filters
 from doorlab.core import (
-    DomainError, Family, full_mask, lattice_witness, parse_family, points_of, powerset,
-    restrict_family, supersets_word)
+    ClaimFalsified, DomainError, Family, full_mask, lattice_witness, parse_family, points_of,
+    powerset, restrict_family, supersets_word)
 from doorlab.filters import (
     algebra_from_partition,
     atoms_of_algebra,
@@ -21,6 +22,14 @@ def complement(m, n):
 
 def family_of(n, members):
     return Family(n, sum(1 << m for m in members))
+
+
+def meet_of(fam):
+    """The intersection of the members of `fam`."""
+    meet = full_mask(fam.n)
+    for m in points_of(fam.bits):
+        meet &= m
+    return meet
 
 
 def principal_family(p, sigma):
@@ -59,6 +68,21 @@ def test_partition_overlap_error():
 def test_partition_cover_error():
     with pytest.raises(DomainError, match="not covered"):
         algebra_from_partition(3, [0b001])
+
+
+@pytest.mark.parametrize("n, blocks, message", [
+    (2, [0b100, 0b011], "block 4 out of range for n=2"),
+    (2, [-1], "block -1 out of range for n=2"),
+    (3, [0b011, -4], "block -4 out of range for n=3"),
+    (0, [0b1], "ground set size 0 outside [1, 6]"),
+    (0, [], "ground set size 0 outside [1, 6]"),
+    (7, [0b1111111], "ground set size 7 outside [1, 6]"),
+])
+def test_partition_outside_ground_set_is_named(n, blocks, message):
+    # Neither reaches the cover check, which would name point -1.
+    with pytest.raises(DomainError) as exc:
+        algebra_from_partition(n, blocks)
+    assert str(exc.value) == message
 
 
 def test_filter_test_is_not_the_lattice_check():
@@ -103,25 +127,33 @@ def test_enumerate_ultrafilters_matches_brute_scan(n):
     brute = sorted(
         bits for bits in range(1 << (1 << n))
         if is_ultrafilter(Family(n, bits), sigma))
-    fast = sorted(u.members.bits for u in enumerate_ultrafilters(sigma))
+    fast = sorted(u.bits for u in enumerate_ultrafilters(sigma))
     assert brute == fast
     assert len(fast) == n
     # Every finite ultrafilter is principal at exactly one point.
     principal = {principal_family(p, sigma).bits for p in range(n)}
     assert principal == set(fast)
-    # Each one is principal: its members meet in its atom, which is nonempty.
+    # Each one is principal: its members meet in a nonempty atom of sigma.
+    atoms = atoms_of_algebra(sigma)
     for u in enumerate_ultrafilters(sigma):
-        meet = full_mask(n)
-        for m in points_of(u.members.bits):
-            meet &= m
-        assert meet == u.atom != 0
+        assert meet_of(u) != 0
+        assert meet_of(u) in atoms
 
 
 def test_enumerate_block_ultrafilters():
     sigma = algebra_from_partition(3, [0b011, 0b100])
     ufs = enumerate_ultrafilters(sigma)
     assert len(ufs) == 2
-    assert {u.atom for u in ufs} == {0b011, 0b100}
+    assert {meet_of(u) for u in ufs} == {0b011, 0b100}
+    assert [meet_of(u) for u in ufs] == atoms_of_algebra(sigma)
+
+
+def test_nonprincipal_ultrafilter_witness_names_atom(monkeypatch):
+    monkeypatch.setattr(filters, "is_ultrafilter", lambda fam, sigma: False)
+    sigma = algebra_from_partition(3, [0b110, 0b001])
+    with pytest.raises(ClaimFalsified) as exc:
+        enumerate_ultrafilters(sigma)
+    assert exc.value.witness == {"sigma": sigma.to_subsets(), "atom": [0]}
 
 
 def test_atoms_of_partition_algebra():
@@ -147,7 +179,7 @@ def test_exactly_one_of_u_or_complement():
         sigma = powerset(n)
         for u in enumerate_ultrafilters(sigma):
             for m in points_of(sigma.bits):
-                assert (m in u.members) != (complement(m, n) in u.members)
+                assert (m in u) != (complement(m, n) in u)
 
 
 # Per-member loops: the reference routes for the bitset predicates.

@@ -33,14 +33,14 @@ TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 def test_topology_totals(n):
     tops, rep = enumerate_topologies(n)
     assert len(tops) == TOPOLOGY_COUNTS[n]
-    bits = [t.opens.bits for t in tops]
+    bits = [t.bits for t in tops]
     assert bits == sorted(bits)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mode_agreement_topologies(n):
-    raw = [t.opens.bits for t in enumerate_topologies(n, "raw_scan")[0]]
-    dfs = [t.opens.bits for t in enumerate_topologies(n, "closure_dfs")[0]]
+    raw = [t.bits for t in enumerate_topologies(n, "raw_scan")[0]]
+    dfs = [t.bits for t in enumerate_topologies(n, "closure_dfs")[0]]
     assert raw == dfs
 
 
@@ -210,8 +210,8 @@ def test_connected_door_counts(n, count):
 
 def test_occ_door_matches_connected_door():
     for n in (4, 5):
-        occ = {t.opens.bits for t in enumerate_occ_door(n)}
-        cd = {t.opens.bits for t in census(n)[1]["connected_door"]}
+        occ = {t.bits for t in enumerate_occ_door(n)}
+        cd = {t.bits for t in census(n)[1]["connected_door"]}
         assert occ == cd
 
 
@@ -244,17 +244,17 @@ def test_census_wraps_and_reports_door_words_only(monkeypatch, n):
     wrapped, reported = [], []
     original_topology, original_report = search.Topology, search.space_report
 
-    def counted_topology(size, opens):
-        wrapped.append(opens.bits)
-        return original_topology(size, opens)
+    def counted_topology(size, bits):
+        wrapped.append(bits)
+        return original_topology(size, bits)
 
     def counted_report(top):
-        reported.append(top.opens.bits)
+        reported.append(top.bits)
         return original_report(top)
 
     monkeypatch.setattr(search, "Topology", counted_topology)
     monkeypatch.setattr(search, "space_report", counted_report)
-    door = [t.opens.bits for t in census(n)[1]["door"]]
+    door = [t.bits for t in census(n)[1]["door"]]
     assert wrapped == reported == door
     assert len(door) == load_golden(n)["door"]
 
@@ -274,7 +274,7 @@ def test_point_topology_claim_exits_1_from_report(monkeypatch, capsys):
     assert run(["report", "--n", "4"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "claim_falsified": "connected door spaces are point topologies",
-        "witness": {"n": 4, "hex": first.opens.to_hex()},
+        "witness": {"n": 4, "hex": first.to_hex()},
     }
 
 

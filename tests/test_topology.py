@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,6 +10,7 @@ from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
     SpaceReport,
+    Topology,
     TopologyError,
     lemma1_check,
     occ_satisfied,
@@ -19,11 +20,11 @@ from doorlab.topology import (
 
 
 def is_open(top, m):
-    return m in top.opens
+    return m in top
 
 
 def is_closed(top, m):
-    return (((1 << top.n) - 1) & ~m) in top.opens
+    return (((1 << top.n) - 1) & ~m) in top
 
 
 def sierpinski():
@@ -126,8 +127,19 @@ def test_singleton_table_matches_point_loop(n):
 
 def test_per_topology_dataclasses_have_no_dict():
     top = sierpinski()
-    for obj in (top.opens, top, space_report(top)):
+    for obj in (top, space_report(top)):
         assert not hasattr(obj, "__dict__")
+
+
+def test_topology_is_its_family():
+    # Every route yields the family word itself: no inner Family, no dict.
+    tops = [*enumerate_topologies(3)[0], *census(4)[1]["door"], sierpinski(),
+            construct_topology(FormDescriptor("Form3", a=0, b=1), 4)]
+    assert [f.name for f in fields(Topology)] == ["n", "bits"]
+    for top in tops:
+        assert isinstance(top, Family)
+        assert top.opens is top
+        assert not hasattr(top, "__dict__")
 
 
 def test_report_sierpinski():
@@ -155,7 +167,7 @@ def test_occ_discrete_n4_witness():
 def reference_occ_satisfied(top):
     """Closed sets found by testing every subset, kept as the reference
     route."""
-    opens = sorted((m for m in points_of(top.opens.bits) if m), key=subset_key)
+    opens = sorted((m for m in points_of(top.bits) if m), key=subset_key)
     closeds = sorted((m for m in range(1, 1 << top.n) if is_closed(top, m)), key=subset_key)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
@@ -168,7 +180,7 @@ def reference_occ_satisfied(top):
 
 def reference_lemma1_check(top):
     full = (1 << top.n) - 1
-    for a in points_of(top.opens.bits):
+    for a in points_of(top.bits):
         for b in range(1, 1 << top.n):
             if a == 0 or not is_closed(top, b) or a & b:
                 continue

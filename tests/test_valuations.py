@@ -78,6 +78,16 @@ class TestExactComplex:
         with pytest.raises(DomainError):
             parse_value("spam")
 
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2+1E4301i", "1e-20000i"])
+    def test_parse_refuses_exponent_beyond_digit_limit(self, text):
+        # Refused before Fraction expands 10**exp, which is what would cost.
+        with pytest.raises(DomainError) as exc:
+            parse_value(text)
+        assert str(exc.value) == f"exponent of value {text!r} exceeds 4300"
+
+    def test_parse_keeps_exponent_at_digit_limit(self):
+        assert parse_value("1e-4300").re == Fraction(1, 10 ** 4300)
+
     def test_str_roundtrip(self):
         for v in (ec(3), ec("-1/2"), ec(0, 2), ec(1, -2), ec("1/2", "3/4")):
             assert parse_value(str(v)) == v
@@ -314,7 +324,7 @@ class TestFFromForm:
         for m in range(16):
             assert f.values[m] == ec((m & 0b0011).bit_count() - 1)
         top = construct_topology(FormDescriptor("Form3", a=0, b=1), 4)
-        assert induced_family(f, designated).bits == top.opens.bits
+        assert induced_family(f, designated).bits == top.bits
 
     def test_form1b_shares_form3_function(self):
         f1b, d1b = f_from_form(FormDescriptor("Form1B", a=0, seed=1), 4)
