@@ -102,21 +102,11 @@ def is_connected_door_wrt(top_family: Family, sigma: Family) -> bool:
 
 
 def partitions_of(n: int) -> list[list[int]]:
-    """All set partitions of {0,...,n-1}, blocks as masks."""
-    out: list[list[int]] = []
-
-    def recurse(point: int, blocks: list[int]) -> None:
-        if point == n:
-            out.append(list(blocks))
-            return
+    """All set partitions of {0,...,n-1}, blocks as masks: each point joins
+    one block of a partition of the points before it, or opens a new block."""
+    parts: list[list[int]] = [[]]
+    for point in range(n):
         bit = 1 << point
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            recurse(point + 1, blocks)
-            blocks[i] &= ~bit
-        blocks.append(bit)
-        recurse(point + 1, blocks)
-        blocks.pop()
-
-    recurse(0, [])
-    return out
+        parts = [p[:i] + [p[i] | bit] + p[i + 1:] if i < len(p) else p + [bit]
+                 for p in parts for i in range(len(p) + 1)]
+    return parts

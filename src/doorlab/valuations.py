@@ -70,17 +70,24 @@ def ec(re, im=0) -> ExactComplex:
 
 
 def _fraction(part: str, text: str) -> Fraction:
-    """Fraction(part), for a part of the value literal `text`.  An exponent
-    beyond the int digit limit is refused before Fraction expands 10**exp,
-    which that limit does not bound."""
-    limit = sys.get_int_max_str_digits()
+    """Fraction(part), for a part of the value literal `text`.  With the int
+    digit limit on, an exponent beyond it is refused before Fraction expands
+    10**exp, which that limit does not bound, and so is a numerator or
+    denominator of more digits, which `str` could not print.  Such an int is
+    at least 10**limit, so it has more than 3 * limit bits: bit_length
+    settles every other value without building the power."""
+    limit = sys.get_int_max_str_digits() or math.inf
     try:
         exp = part.lower().partition("e")[2]
-        if not (exp and limit and abs(int(exp)) > limit):
-            return Fraction(part)
+        q = Fraction(part) if not exp or abs(int(exp)) <= limit else None
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse value {text!r}") from exc
-    raise DomainError(f"exponent of value {text!r} exceeds {limit}")
+    if q is None:
+        raise DomainError(f"exponent of value {text!r} exceeds {limit}")
+    big = max(abs(q.numerator), q.denominator)
+    if big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise DomainError(f"value {text!r} has more than {limit} digits")
+    return q
 
 
 def parse_value(text: str) -> ExactComplex:

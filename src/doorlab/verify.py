@@ -11,7 +11,7 @@ from itertools import product
 from . import filters
 from .classify import (
     VALID_KINDS, classify_connected_door, construct_topology, descriptors, form_bits)
-from .core import Family, full_mask, points_of, powerset
+from .core import Family, full_mask, powerset
 from .search import (
     census,
     compare_with_golden,
@@ -32,6 +32,7 @@ from .valuations import (
     induced_family,
     lemma_two_valued_report,
     modular_compose,
+    preimage,
     satisfies_valuation,
     valuation_on_algebra,
     verify_two_valued_additive,
@@ -207,12 +208,25 @@ def verify_part2() -> dict:
             "form1a_subcases_covered": sorted(subcases)}
 
 
+def two_valued_valuations(sigma: Family) -> list[dict[int, int]]:
+    """The functions from the algebra sigma onto {0, 1} that are valuations,
+    as plain ints keyed by the members of sigma.  sigma is the power set of
+    its atoms, so these are the modular route's valuations onto {0, 1} on one
+    point per atom (constant plus weights, Birkhoff), read at atom unions."""
+    atoms = filters.atoms_of_algebra(sigma)
+    unions = [0]  # unions[j]: the union of the atoms atoms[i] for the bits i of j
+    for a in atoms:
+        unions += [u | a for u in unions]
+    return [{u: int(v.re) for u, v in zip(unions, f.values)}
+            for f in enumerate_solutions(len(atoms), [ec(0), ec(1)], "eq2", "modular")]
+
+
 def verify_relative() -> dict:
     """Over every block algebra on up to 4 points and every two-valued
-    function on it: the valuation solutions satisfy the two-valued lemma,
-    their top preimages are exactly the ultrafilters with respect to the
-    algebra, and the induced families are connected door with respect to
-    the algebra (classically so when the algebra is the full power set)."""
+    valuation on it (`two_valued_valuations`): the solutions satisfy the
+    two-valued lemma, their top preimages are exactly the ultrafilters with
+    respect to the algebra, and the induced families are connected door
+    with respect to the algebra (classically so when it is the power set)."""
     ok = True
     algebras = 0
     solutions = 0
@@ -222,31 +236,20 @@ def verify_relative() -> dict:
         for blocks in filters.partitions_of(n):
             sigma = filters.algebra_from_partition(n, blocks)
             algebras += 1
-            members = points_of(sigma.bits)
             ultras = {u.bits for u in filters.enumerate_ultrafilters(sigma)}
             seen_preimages = set()
-            # A function onto {1, 0} is the indicator of a proper nonempty
-            # subfamily p of sigma.
-            p = sigma.bits
-            while p := (p - 1) & sigma.bits:
-                values = {m: (p >> m) & 1 for m in members}
-                if not valuation_on_algebra(values, sigma):
-                    continue
+            for values in two_valued_valuations(sigma):
                 solutions += 1
-                if not lemma_two_valued_report(values, sigma)["ok"]:
-                    ok = False
-                pre_bits = p if (p >> full) & 1 else sigma.bits & ~p
-                pre = Family(n, pre_bits)
-                if not filters.is_ultrafilter(pre, sigma):
-                    ok = False
+                pre_bits = preimage(values, values, values[full])
                 seen_preimages.add(pre_bits)
                 induced = Family(n, pre_bits | 1)
-                if not filters.is_connected_door_wrt(induced, sigma):
+                if not (valuation_on_algebra(values, sigma)
+                        and lemma_two_valued_report(values, sigma)["ok"]
+                        and filters.is_ultrafilter(Family(n, pre_bits), sigma)
+                        and filters.is_connected_door_wrt(induced, sigma)
+                        and (sigma.bits != pw.bits
+                             or space_report(validate_topology(induced)).connected_door)):
                     ok = False
-                if sigma.bits == pw.bits:
-                    top = validate_topology(induced)
-                    if not space_report(top).connected_door:
-                        ok = False
             # S1 forward direction: every ultrafilter arises from a solution.
             if seen_preimages != ultras:
                 ok = False

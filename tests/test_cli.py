@@ -298,6 +298,16 @@ def test_solve_huge_exponent_is_refused_before_expanding():
     assert proc.stderr == "error: exponent of value '1e9999999' exceeds 4300\n"
 
 
+@pytest.mark.parametrize("value", ["1e4300", "1e4300i"])
+def test_solve_value_beyond_digit_limit_is_named(capsys, value):
+    # 10**4300 has 4,301 digits: parsed, it would only fail in the JSON output
+    # with Python's own message, which names no value.
+    code, out, err = capture(capsys, ["solve", "--n", "2", f"--values={value},0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: value '{value}' has more than 4300 digits\n"
+
+
 def test_solve_reads_exponent_values(capsys):
     code, out, _ = capture(capsys, ["solve", "--n", "2", "--values", "0,1e-3i"])
     assert code == 0

@@ -156,6 +156,35 @@ def test_nonprincipal_ultrafilter_witness_names_atom(monkeypatch):
     assert exc.value.witness == {"sigma": sigma.to_subsets(), "atom": [0]}
 
 
+def reference_partitions_of(n):
+    """Depth-first: point p goes into each open block in turn, then into a
+    new block; the reference route for the level-by-level build."""
+    out = []
+
+    def recurse(point, blocks):
+        if point == n:
+            out.append(list(blocks))
+            return
+        bit = 1 << point
+        for i in range(len(blocks)):
+            blocks[i] |= bit
+            recurse(point + 1, blocks)
+            blocks[i] &= ~bit
+        blocks.append(bit)
+        recurse(point + 1, blocks)
+        blocks.pop()
+
+    recurse(0, [])
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_partitions_match_depth_first_reference(n):
+    # Same partitions, same blocks, same order; Bell numbers 1, 1, 2, 5, 15, 52, 203.
+    assert partitions_of(n) == reference_partitions_of(n)
+    assert len(partitions_of(n)) == [1, 1, 2, 5, 15, 52, 203][n]
+
+
 def test_atoms_of_partition_algebra():
     for n in (2, 3, 4):
         for blocks in partitions_of(n):

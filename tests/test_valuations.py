@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -85,8 +86,25 @@ class TestExactComplex:
             parse_value(text)
         assert str(exc.value) == f"exponent of value {text!r} exceeds 4300"
 
-    def test_parse_keeps_exponent_at_digit_limit(self):
-        assert parse_value("1e-4300").re == Fraction(1, 10 ** 4300)
+    def test_parse_keeps_values_at_digit_limit(self):
+        # 4,300 digits: the most that str, and so the JSON output, prints.
+        assert parse_value("1e-4299").re == Fraction(1, 10 ** 4299)
+        assert parse_value("-9999e4296").re == -9999 * 10 ** 4296
+        assert parse_value("1e4299i").im == 10 ** 4299
+
+    @pytest.mark.parametrize("text", [
+        "1e4300", "-1e4300", "1e-4300", "15e4299", "1e4300i", "2-1e-4300i"])
+    def test_parse_refuses_values_beyond_digit_limit(self, text):
+        # An exponent at the limit passes the exponent test, but its power
+        # of ten has 4,301 digits, one more than str prints.
+        with pytest.raises(DomainError) as exc:
+            parse_value(text)
+        assert str(exc.value) == f"value {text!r} has more than 4300 digits"
+
+    def test_parse_without_digit_limit_keeps_every_value(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert parse_value("1e5000").re == 10 ** 5000
+        assert parse_value("1e-5000i").im == Fraction(1, 10 ** 5000)
 
     def test_str_roundtrip(self):
         for v in (ec(3), ec("-1/2"), ec(0, 2), ec(1, -2), ec("1/2", "3/4")):
