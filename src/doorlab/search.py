@@ -210,7 +210,7 @@ def _brute_solutions(
     terms, so they run on the integer codes of `values`; each solution is
     built from the original values."""
     top = 1 << n
-    codes = int_codes(values)
+    codes = int_codes(values, 4)
     code_set = set(codes)
     first = 0 if equation == "eq2" else 1
     assigned = [0] * top
@@ -263,18 +263,24 @@ def _modular_solutions(
     n: int, values: list[ExactComplex], equation: str
 ) -> list[SetFunction]:
     """Solutions via the weight parameterization: disjoint-additive
-    solutions are point-weight sums, valuation solutions add a constant."""
-    value_set = set(values)
-    if equation == "eq1_disjoint":
-        cases = [(EC_ZERO, values, False)]
-    else:
-        cases = [(c, [v - c for v in values], True) for c in values]
+    solutions are point-weight sums, valuation solutions add a constant.
+    Each candidate is summed and range-tested on the integer codes of
+    `values`, one add per mask, and only the survivors are composed.
+    f(m) - v is an integer combination of the values with coefficients of
+    total size at most 2n, so codes for 2n + 2 terms tell f(m) == v."""
+    codes = int_codes(values, 2 * n + 2)
+    code_set = set(codes)
+    first = 0 if equation == "eq2" else 1  # eq1 leaves out the empty set
     out: list[SetFunction] = []
-    for c, choices, includes_empty in cases:
-        for weights in product(choices, repeat=n):
-            f = modular_compose(c, weights, includes_empty)
-            if {f.values[m] for m in f.domain()} == value_set:
-                out.append(f)
+    # eq2 takes each value as the constant f(empty); eq1 has none.
+    for c, k in zip(values, codes) if first == 0 else [(EC_ZERO, 0)]:
+        steps = [x - k for x in codes]
+        for picks in product(range(len(values)), repeat=n):
+            f = [k]
+            for i in picks:
+                f += [x + steps[i] for x in f]
+            if set(f[first:]) == code_set:
+                out.append(modular_compose(c, tuple(values[i] - c for i in picks), first == 0))
     return _canonical_solution_order(out)
 
 

@@ -7,7 +7,10 @@ Two identities are checked throughout:
 
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
-loop runs on the exact integer codes of `int_codes`.
+loop runs on the exact integer codes of `int_codes`.  A scan encodes its
+value set once, with the longest identity it checks: 4 terms for a valuation
+pair, 3 for disjoint additivity, 8 for three-set inclusion-exclusion, and
+2n + 2 for the modular route's range test on n points.
 """
 
 from __future__ import annotations
@@ -70,23 +73,27 @@ def ec(re, im=0) -> ExactComplex:
 
 
 def _fraction(part: str, text: str) -> Fraction:
-    """Fraction(part), for a part of the value literal `text`.  With the int
-    digit limit on, an exponent beyond it is refused before Fraction expands
-    10**exp, which that limit does not bound, and so is a numerator or
-    denominator of more digits, which `str` could not print.  Such an int is
-    at least 10**limit, so it has more than 3 * limit bits: bit_length
-    settles every other value without building the power."""
+    """Fraction(part), for a part of the value literal `text`, refused when
+    its numerator or denominator has more digits than the int digit limit,
+    as `str` could not print it.  Fraction would expand 10**exp unbounded,
+    so the exponent is read first: a nonzero mantissa of k digits has such a
+    numerator or denominator once |exp| > limit + k, and the literal with
+    exponent 0 has the same form and is 0 exactly when the mantissa is.  An
+    int of more than limit digits has more than 3 * limit bits, so
+    bit_length settles most values without building 10**limit."""
     limit = sys.get_int_max_str_digits() or math.inf
+    mantissa, _, exp = part.lower().partition("e")
     try:
-        exp = part.lower().partition("e")[2]
-        q = Fraction(part) if not exp or abs(int(exp)) <= limit else None
+        shift = abs(int(exp)) if exp else 0
+        # Fraction refuses a space after the e, which int(exp) would skip.
+        far = shift > limit + sum(map(str.isdigit, mantissa)) and not exp[0].isspace()
+        q = Fraction(mantissa + "e0" if far else part)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse value {text!r}") from exc
-    if q is None:
-        raise DomainError(f"exponent of value {text!r} exceeds {limit}")
     big = max(abs(q.numerator), q.denominator)
-    if big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise DomainError(f"value {text!r} has more than {limit} digits")
+    if far and q or big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise DomainError(f"exponent of value {text!r} exceeds {limit}" if shift > limit
+                          else f"value {text!r} has more than {limit} digits")
     return q
 
 
@@ -145,18 +152,23 @@ class SetFunction:
         }
 
 
-def int_codes(values) -> list[int]:
-    """Exact integer codes of a list of `ExactComplex` values.
+def int_codes(values, terms: int) -> list[int]:
+    """Exact integer codes of a list of `ExactComplex` values, for identities
+    of at most `terms` terms.
 
     With d the lcm of every `re` and `im` denominator, r = re*d and
-    i = im*d are ints, and the code is r + B*i with B = 1 + 8*max|r| (just
-    r when no value has an imaginary part).  The map is additive over the
-    integers.  For an identity sum c_j*v_j = 0 with integer coefficients and
-    sum |c_j| <= 8, the code of the left side is R + B*I with
-    R = sum c_j*r_j and I = sum c_j*i_j, and |R| <= 8*max|r| < B; so it is 0
-    exactly when R = I = 0, that is, exactly when the identity holds on the
-    values.  The denominators are read in list passes: hashing `Fraction`s
-    would cost more than the checks the codes speed up.
+    i = im*d are ints, and the code is r + B*i with B = 1 + terms*max|r|
+    (just r when no value has an imaginary part).  The map is additive over
+    the integers.  For an identity sum c_j*v_j = 0 with integer coefficients
+    and sum |c_j| <= terms, the code of the left side is R + B*I with
+    R = sum c_j*r_j and I = sum c_j*i_j, and |R| <= terms*max|r| < B; so it
+    is 0 exactly when R = I = 0, that is, exactly when the identity holds on
+    the values.  A caller encodes its value set once and states the longest
+    identity it checks on the codes: 4 terms for a valuation pair, 3 for
+    disjoint additivity, 8 for three-set inclusion-exclusion, 2n + 2 for the
+    modular range test on n points.  The denominators are read in list
+    passes: hashing `Fraction`s would cost more than the checks the codes
+    speed up.
     """
     res = [v.re for v in values]
     ims = [v.im for v in values]
@@ -164,16 +176,16 @@ def int_codes(values) -> list[int]:
     r = [q.numerator * (d // q.denominator) for q in res]
     if not any(q.numerator for q in ims):
         return r
-    base = 1 + 8 * max(map(abs, r))
+    base = 1 + terms * max(map(abs, r))
     return [x + base * (q.numerator * (d // q.denominator)) for x, q in zip(r, ims)]
 
 
-def _valuation_witness(
-    values, members: list[int], domain_bits: int
-) -> tuple[int, int] | None:
+def valuation_witness(values, members, domain_bits: int = -1) -> tuple[int, int] | None:
     """The first pair A <= B of `members` (ascending) with
     values[A] + values[B] != values[A|B] + values[A&B], skipping pairs whose
-    intersection lies outside the family `domain_bits`; None if none."""
+    intersection lies outside the family `domain_bits` (-1 holds every set,
+    -2 every nonempty one); None if none.  On integer codes it needs codes
+    of 4 terms."""
     for i, a in enumerate(members):
         fa = values[a]
         for b in members[i:]:
@@ -187,8 +199,8 @@ def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) + f(A&B) over all pairs of the domain.  The
     witness, if any, is the lexicographically least violating (A, B).  Each
     pair is a four-term identity, so it is checked on the integer codes."""
-    domain_bits = (1 << (1 << f.n)) - (1 if f.includes_empty else 2)
-    witness = _valuation_witness(int_codes(f.values), list(f.domain()), domain_bits)
+    witness = valuation_witness(
+        int_codes(f.values, 4), f.domain(), -1 if f.includes_empty else -2)
     return witness is None, witness
 
 
@@ -196,7 +208,7 @@ def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int]
     """f(A) + f(B) = f(A|B) for disjoint nonempty A, B, checked on the
     integer codes (three terms)."""
     top = 1 << f.n
-    v = int_codes(f.values)
+    v = int_codes(f.values, 3)
     for a in range(1, top):
         fa = v[a]
         for b in range(a + 1, top):
@@ -222,11 +234,7 @@ def modular_compose(
 
 def preimage(values, members, v) -> int:
     """The family bitset of the members m with values[m] == v."""
-    bits = 0
-    for m in members:
-        if values[m] == v:
-            bits |= 1 << m
-    return bits
+    return sum(1 << m for m in members if values[m] == v)
 
 
 def induced_family(f: SetFunction, v: ExactComplex) -> Family:
@@ -354,20 +362,18 @@ def form1a_pair_subcase(a: int, seed: int, A: int, B: int) -> int:
     return _SUBCASE_INDEX[frozenset((_code(A, (seed, a)), _code(B, (seed, a))))]
 
 
-def check_inclusion_exclusion3(f: SetFunction) -> bool:
-    """Three-set inclusion-exclusion identity over all triples, checked on
-    the integer codes (eight terms)."""
-    if not f.includes_empty:
-        raise DomainError("identity ranges over the full power set")
-    top = 1 << f.n
-    v = int_codes(f.values)
+def check_inclusion_exclusion3(n: int, codes) -> bool:
+    """The three-set inclusion-exclusion identity over all triples, on the
+    integer codes (of at least 8 terms) of a set function on the full power
+    set of n points, indexed by mask."""
+    top = 1 << n
     for a in range(top):
         for b in range(a, top):
             for c in range(b, top):
-                lhs = v[a | b | c]
-                rhs = (v[a] + v[b] + v[c]
-                       - v[a & b] - v[b & c] - v[a & c]
-                       + v[a & b & c])
+                lhs = codes[a | b | c]
+                rhs = (codes[a] + codes[b] + codes[c]
+                       - codes[a & b] - codes[b & c] - codes[a & c]
+                       + codes[a & b & c])
                 if lhs != rhs:
                     return False
     return True
@@ -378,19 +384,10 @@ def increasing_filter_check(f: SetFunction) -> dict:
     filter."""
     if not f.includes_empty:
         raise DomainError("check ranges over the full power set")
-    for m in f.domain():
-        if not f.values[m].is_real:
-            raise DomainError("non-real value encountered")
-    top = 1 << f.n
-    increasing = True
-    for a in range(top):
-        for x in range(f.n):
-            b = a | (1 << x)
-            if b != a and f.values[a].re > f.values[b].re:
-                increasing = False
-                break
-        if not increasing:
-            break
+    v = f.values
+    if not all(x.is_real for x in v):
+        raise DomainError("non-real value encountered")
+    increasing = all(v[a].re <= v[a | 1 << x].re for a in range(1 << f.n) for x in range(f.n))
     report: dict = {"is_increasing": increasing}
     ok_val, _ = satisfies_valuation(f)
     report["is_valuation"] = ok_val
@@ -442,4 +439,4 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
 
 
 def valuation_on_algebra(values: dict[int, ExactComplex | int], sigma: Family) -> bool:
-    return _valuation_witness(values, points_of(sigma.bits), sigma.bits) is None
+    return valuation_witness(values, points_of(sigma.bits), sigma.bits) is None

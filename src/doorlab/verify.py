@@ -30,11 +30,13 @@ from .valuations import (
     form1a_pair_subcase,
     increasing_filter_check,
     induced_family,
+    int_codes,
     lemma_two_valued_report,
     modular_compose,
     preimage,
     satisfies_valuation,
     valuation_on_algebra,
+    valuation_witness,
     verify_two_valued_additive,
 )
 
@@ -262,21 +264,25 @@ def verify_remarks() -> dict:
     valuation identity (full scan on three points), and increasing
     valuations have filter top-preimages."""
     n = 3
-    vals = [ec(-1), ec(0), ec(1)]
     ie_ok = True
     scanned = 0
-    for assignment in product(vals, repeat=1 << n):
-        f = SetFunction(n, True, assignment)
+    # Both identities run on the codes of {-1, 0, 1}, encoded once for the
+    # longer one, inclusion-exclusion's eight terms.
+    for codes in product(int_codes([ec(-1), ec(0), ec(1)], 8), repeat=1 << n):
         scanned += 1
-        if satisfies_valuation(f)[0] != check_inclusion_exclusion3(f):
+        is_valuation = valuation_witness(codes, range(1 << n)) is None
+        if is_valuation != check_inclusion_exclusion3(n, codes):
             ie_ok = False
     inc_ok = True
     checked_inc = 0
-    # Brute route: all valuation solutions with values in {0, 1, 2}.
+    # Brute route: all valuation solutions with values in {0, 1, 2}, found on
+    # their codes and checked on their values.
+    vals = [ec(0), ec(1), ec(2)]
+    value_of = dict(zip(int_codes(vals, 4), vals))
     for nn in (2, 3):
-        for assignment in product([ec(0), ec(1), ec(2)], repeat=1 << nn):
-            f = SetFunction(nn, True, assignment)
-            if satisfies_valuation(f)[0]:
+        for codes in product(value_of, repeat=1 << nn):
+            if valuation_witness(codes, range(1 << nn)) is None:
+                f = SetFunction(nn, True, tuple(value_of[x] for x in codes))
                 rep = increasing_filter_check(f)
                 checked_inc += 1
                 if not rep["ok"]:

@@ -308,6 +308,30 @@ def test_solve_value_beyond_digit_limit_is_named(capsys, value):
     assert err == f"error: value '{value}' has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("value,re", [
+    ("0e99999", "0"), ("1000e-4302", "1/1" + "0" * 4299)])
+def test_solve_value_not_exponent_decides_refusal(capsys, value, re):
+    # A zero mantissa is 0 at any exponent, and 1000e-4302 is 1e-4299, whose
+    # denominator has 4,300 digits: both parse, and print.
+    code, out, _ = capture(
+        capsys, ["solve", "--n", "2", "--equation", "eq2", f"--values={value},1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 4
+    assert {v["re"] for s in doc["solutions"] for v in s["values"]} == {re, "1"}
+
+
+@pytest.mark.parametrize("value", ["1e99999", "1e999999999999"])
+def test_solve_far_exponent_is_refused_at_once(capsys, value):
+    # No power of ten is built: 10**999999999999 would not fit in memory.
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["solve", "--n", "2", f"--values={value},1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: exponent of value '{value}' exceeds 4300\n"
+
+
 def test_solve_reads_exponent_values(capsys):
     code, out, _ = capture(capsys, ["solve", "--n", "2", "--values", "0,1e-3i"])
     assert code == 0

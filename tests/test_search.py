@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -23,7 +24,7 @@ from doorlab.search import (
     _subset_lanes,
 )
 from doorlab.topology import is_topology_bits, occ_satisfied, space_report
-from doorlab.valuations import ec
+from doorlab.valuations import EC_ZERO, ec, modular_compose
 
 
 TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -339,6 +340,50 @@ class TestSolutions:
     def test_brute_cap(self):
         with pytest.raises(CapabilityError):
             enumerate_solutions(5, [ec(0), ec(1)], "eq1_disjoint", "brute")
+
+
+def reference_modular_solutions(n, values, equation):
+    """The weight route on `ExactComplex` values, kept as the reference:
+    every candidate is composed, and its value set compared."""
+    if equation == "eq1_disjoint":
+        cases = [(EC_ZERO, values, False)]
+    else:
+        cases = [(c, [v - c for v in values], True) for c in values]
+    out = []
+    for c, choices, includes_empty in cases:
+        for weights in product(choices, repeat=n):
+            f = modular_compose(c, weights, includes_empty)
+            if {f.values[m] for m in f.domain()} == set(values):
+                out.append(f)
+    return sorted(out, key=lambda f: tuple(v.sort_key() for v in f.values))
+
+
+@pytest.mark.parametrize("equation", ["eq1_disjoint", "eq2"])
+@pytest.mark.parametrize("values", [
+    [ec(0), ec(1)],
+    [ec(0), ec(1), ec(2)],
+    [ec("-1/3"), ec(0), ec("1/3")],
+    [ec(0), ec("1/2", "1/3"), ec(1, "2/3")],
+    [ec(1), ec(0, 1)],
+], ids=["0,1", "0,1,2", "-1/3,0,1/3", "0,1/2+1/3i,1+2/3i", "1,i"])
+def test_modular_route_matches_reference(values, equation):
+    for n in range(1, 6):
+        modular = enumerate_solutions(n, values, equation, "modular")
+        reference = reference_modular_solutions(n, values, equation)
+        assert modular == reference
+        assert [f.to_json() for f in modular] == [f.to_json() for f in reference]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_modular_range_test_base_covers_the_identity(n):
+    # f(m) - v has coefficients of total size up to 2n: with B = 1 + max|r|
+    # a real part carries into the imaginary part, and the modular route
+    # would report 24 (n = 4) and 40 (n = 5) functions that are not onto
+    # this set.
+    values = [ec(2, -2), ec(0, 2), ec(-3, 1)]
+    brute = search._brute_solutions(n, values, "eq2")
+    modular = enumerate_solutions(n, values, "eq2", "modular")
+    assert brute == modular == reference_modular_solutions(n, values, "eq2") == []
 
 
 def test_survey_n3_both_modes():

@@ -40,7 +40,7 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
-# Kept without a src caller: ROADMAP item 3's eq1 <-> eq2 bridge will call it.
+# Kept without a src caller: ROADMAP item 4's eq1 <-> eq2 bridge will call it.
 NO_SRC_CALLER_YET = {"extend_by_zero_at_empty"}
 
 

@@ -81,10 +81,22 @@ class TestExactComplex:
 
     @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2+1E4301i", "1e-20000i"])
     def test_parse_refuses_exponent_beyond_digit_limit(self, text):
-        # Refused before Fraction expands 10**exp, which is what would cost.
+        # Each value has more than 4,300 digits and an exponent beyond 4,300,
+        # and the refusal names the exponent.
         with pytest.raises(DomainError) as exc:
             parse_value(text)
         assert str(exc.value) == f"exponent of value {text!r} exceeds 4300"
+
+    def test_parse_reads_small_values_with_far_exponents(self):
+        # The value decides, not the exponent: a zero mantissa is 0 at any
+        # exponent, and a long mantissa brings the value back in range.
+        assert parse_value("0e99999") == EC_ZERO
+        assert parse_value("-0.00e-999999999999i") == EC_ZERO
+        assert parse_value("1000e-4302").re == Fraction(1, 10 ** 4299)
+        assert parse_value("0.001e4302").re == 10 ** 4299
+        for text in ("0/5e99999", "0e\t99999"):  # malformed for Fraction too
+            with pytest.raises(DomainError, match="cannot parse"):
+                parse_value(text)
 
     def test_parse_keeps_values_at_digit_limit(self):
         # 4,300 digits: the most that str, and so the JSON output, prints.
@@ -141,6 +153,11 @@ def reference_inclusion_exclusion3(f):
         v[a | b | c] == (v[a] + v[b] + v[c] - v[a & b] - v[b & c] - v[a & c]
                          + v[a & b & c])
         for a in range(top) for b in range(a, top) for c in range(b, top))
+
+
+def ie3(f):
+    """`check_inclusion_exclusion3` on the codes of f's values."""
+    return check_inclusion_exclusion3(f.n, int_codes(f.values, 8))
 
 
 SMALL_INTS = st.sampled_from([ec(-1), ec(0), ec(1)])
@@ -467,19 +484,19 @@ def test_form1a_subcase_matches_reference_categories():
 
 class TestInclusionExclusion:
     def test_cardinality(self):
-        assert check_inclusion_exclusion3(cardinality_fn(3))
+        assert ie3(cardinality_fn(3))
 
     def test_non_valuation_fails(self):
         vals = tuple(ec(1 if m.bit_count() >= 2 else 0) for m in range(8))
-        assert not check_inclusion_exclusion3(SetFunction(3, True, vals))
+        assert not ie3(SetFunction(3, True, vals))
 
     def test_modular_composition(self):
         f = modular_compose(ec(1), (ec(-1), ec(1), ec(0)))
-        assert check_inclusion_exclusion3(f)
+        assert ie3(f)
 
     @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(True)))
     def test_gaussian_rationals_match_reference_loop(self, f):
-        assert check_inclusion_exclusion3(f) == reference_inclusion_exclusion3(f)
+        assert ie3(f) == reference_inclusion_exclusion3(f)
 
 
 class TestIntCodes:
@@ -492,18 +509,24 @@ class TestIntCodes:
         assert naive.values == indicator_fn(2, 0).values
         assert satisfies_valuation(naive)[0]
         assert satisfies_disjoint_additivity(SetFunction(2, False, naive.values))[0]
-        assert check_inclusion_exclusion3(naive)
+        assert ie3(naive)
 
-        assert int_codes(values) == [0, 1, 0, 9]
+        assert int_codes(values, 8) == [0, 1, 0, 9]
         f = SetFunction(2, True, values)
         assert satisfies_valuation(f) == (False, (0b01, 0b10))
         assert satisfies_disjoint_additivity(
             SetFunction(2, False, values)) == (False, (0b01, 0b10))
-        assert not check_inclusion_exclusion3(f)
+        assert not ie3(f)
 
     def test_common_denominator(self):
-        assert int_codes([ec("1/2"), ec("-1/3"), ec(2)]) == [3, -2, 12]
-        assert int_codes([ec("1/2", "1/3"), EC_ZERO]) == [3 + 25 * 2, 0]
+        assert int_codes([ec("1/2"), ec("-1/3"), ec(2)], 8) == [3, -2, 12]
+        assert int_codes([ec("1/2", "1/3"), EC_ZERO], 8) == [3 + 25 * 2, 0]
+
+    def test_base_covers_the_stated_identity_length(self):
+        # B = 1 + terms * max|r|: the real part of an identity of that many
+        # unit terms stays below B, so it cannot carry into the imaginary part.
+        assert int_codes([ec("1/2", "1/3"), EC_ZERO], 4) == [3 + 13 * 2, 0]
+        assert int_codes([ec(2, -2), ec(0, 2), ec(-3, 1)], 10) == [2 - 62, 62, -3 + 31]
 
 
 class TestIncreasing:
