@@ -94,6 +94,8 @@ def enumerate_ultrafilters(sigma: Family) -> list[Family]:
 def is_connected_door_wrt(top_family: Family, sigma: Family) -> bool:
     """Every proper nonempty member of sigma is open or closed but not both
     (openness meaning membership in top_family)."""
+    if top_family.n != sigma.n:
+        raise DomainError("topology and algebra ground sets differ")
     if top_family.bits & ~sigma.bits:
         return False
     t = top_family.bits

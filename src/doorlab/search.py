@@ -205,10 +205,13 @@ def _canonical_solution_order(sols: list[SetFunction]) -> list[SetFunction]:
 def _brute_solutions(
     n: int, values: list[ExactComplex], equation: str
 ) -> list[SetFunction]:
-    """Depth-first assignment in mask order, pruned by the equation on every
-    pair below the current mask.  The pairs are identities of at most four
-    terms, so they run on the integer codes of `values`; each solution is
-    built from the original values."""
+    """Depth-first assignment in mask order, pruned at each mask m by
+    f(A) + f(B) = f(m) + f(empty) on the disjoint proper pairs with union m.
+    For eq1 the empty set is left unassigned at 0, so this is disjoint
+    additivity.  For eq2 it is the whole valuation identity: f - f(empty) is
+    then disjoint additive, hence a valuation, and so is f.  The pairs run
+    on the integer codes of `values` (four terms); each solution is built
+    from the original values."""
     top = 1 << n
     codes = int_codes(values, 4)
     code_set = set(codes)
@@ -218,29 +221,11 @@ def _brute_solutions(
     out: list[SetFunction] = []
 
     def consistent(m: int, cand: int) -> bool:
-        if equation == "eq1_disjoint":
-            if m.bit_count() < 2:
-                return True
-            a = (m - 1) & m
-            while a:
-                b = m & ~a
-                if a <= b and assigned[a] + assigned[b] != cand:
-                    return False
-                a = (a - 1) & m
-            return True
-        # eq2: every pair with union m, both proper
         a = (m - 1) & m
         while a:
-            need = m & ~a
-            s = a
-            while True:
-                b = need | s
-                if b != m and a <= b:
-                    if assigned[a] + assigned[b] != cand + assigned[a & s]:
-                        return False
-                if s == 0:
-                    break
-                s = (s - 1) & a
+            b = m & ~a
+            if a <= b and assigned[a] + assigned[b] != cand + assigned[0]:
+                return False
             a = (a - 1) & m
         return True
 

@@ -5,6 +5,9 @@ Two identities are checked throughout:
   disjoint additivity   f(A) + f(B) = f(A|B)          (A, B disjoint nonempty)
   valuation             f(A) + f(B) = f(A|B) + f(A&B) (all A, B)
 
+Both go through `valuation_witness`: disjoint additivity is the valuation
+identity of `extend_by_zero_at_empty(f)` on the pairs with empty meet.
+
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
 loop runs on the exact integer codes of `int_codes`.  A scan encodes its
@@ -184,8 +187,8 @@ def valuation_witness(values, members, domain_bits: int = -1) -> tuple[int, int]
     """The first pair A <= B of `members` (ascending) with
     values[A] + values[B] != values[A|B] + values[A&B], skipping pairs whose
     intersection lies outside the family `domain_bits` (-1 holds every set,
-    -2 every nonempty one); None if none.  On integer codes it needs codes
-    of 4 terms."""
+    -2 every nonempty one, 1 the empty set alone); None if none.  On integer
+    codes it needs codes of 4 terms."""
     for i, a in enumerate(members):
         fa = values[a]
         for b in members[i:]:
@@ -205,18 +208,12 @@ def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
 
 
 def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
-    """f(A) + f(B) = f(A|B) for disjoint nonempty A, B, checked on the
-    integer codes (three terms)."""
-    top = 1 << f.n
-    v = int_codes(f.values, 3)
-    for a in range(1, top):
-        fa = v[a]
-        for b in range(a + 1, top):
-            if a & b:
-                continue
-            if fa + v[b] != v[a | b]:
-                return False, (a, b)
-    return True, None
+    """f(A) + f(B) = f(A|B) for disjoint nonempty A, B: the valuation
+    identity of the zero extension on the pairs with empty meet, whose f(A&B)
+    term is 0, so on codes of three terms.  f must leave out the empty set."""
+    witness = valuation_witness(
+        int_codes(extend_by_zero_at_empty(f).values, 3), range(1, 1 << f.n), 1)
+    return witness is None, witness
 
 
 def modular_compose(
@@ -243,8 +240,8 @@ def induced_family(f: SetFunction, v: ExactComplex) -> Family:
 
 
 def extend_by_zero_at_empty(f: SetFunction) -> SetFunction:
-    """The auxiliary extension used when moving from disjoint additivity to
-    the valuation identity: value 0 at the empty set."""
+    """The extension by 0 at the empty set, which takes disjoint additivity
+    to the valuation identity on disjoint pairs (`satisfies_disjoint_additivity`)."""
     if f.includes_empty:
         raise DomainError("function already defined on the empty set")
     vals = list(f.values)

@@ -275,28 +275,15 @@ def verify_remarks() -> dict:
             ie_ok = False
     inc_ok = True
     checked_inc = 0
-    # Brute route: all valuation solutions with values in {0, 1, 2}, found on
-    # their codes and checked on their values.
+    # Every valuation with values in {0, 1, 2}: the constants and the
+    # solutions onto each larger value set (brute on two and three points,
+    # modular on four), checked in ascending order of their value tuples.
     vals = [ec(0), ec(1), ec(2)]
-    value_of = dict(zip(int_codes(vals, 4), vals))
-    for nn in (2, 3):
-        for codes in product(value_of, repeat=1 << nn):
-            if valuation_witness(codes, range(1 << nn)) is None:
-                f = SetFunction(nn, True, tuple(value_of[x] for x in codes))
-                rep = increasing_filter_check(f)
-                checked_inc += 1
-                if not rep["ok"]:
-                    inc_ok = False
-    # Weight route on four points: every valuation with range inside
-    # {0, 1, 2} is a weight sum, so scanning constants and weights in the
-    # difference range covers them all.  The values c + (a subset sum of ws)
-    # span c + (the negative weights) to c + (the positive weights), ends
-    # included, so the range test runs on plain ints before composing.
-    for c in range(3):
-        for ws in product(range(-2, 3), repeat=4):
-            if c + sum(w for w in ws if w < 0) < 0 or c + sum(w for w in ws if w > 0) > 2:
-                continue
-            f = modular_compose(ec(c), tuple(ec(w) for w in ws))
+    for nn, mode in ((2, "brute"), (3, "brute"), (4, "modular")):
+        fs = [SetFunction(nn, True, (v,) * (1 << nn)) for v in vals]
+        for vs in (vals[:2], vals[::2], vals[1:], vals):
+            fs += enumerate_solutions(nn, vs, "eq2", mode)
+        for f in sorted(fs, key=lambda f: [v.re for v in f.values]):
             rep = increasing_filter_check(f)
             checked_inc += 1
             if not rep["ok"]:

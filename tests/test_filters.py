@@ -260,3 +260,12 @@ def test_complement_predicates_match_per_member_loops(n):
             if sub == 0:
                 break
             sub = (sub - 1) & sigma.bits
+
+
+def test_ground_set_mismatch_is_refused():
+    # Read on two points, the three-point word 0b1011 would pass as a
+    # connected door family of the power set.
+    with pytest.raises(DomainError, match="ground sets differ"):
+        is_connected_door_wrt(Family(3, 0b1011), powerset(2))
+    with pytest.raises(DomainError, match="ground sets differ"):
+        is_filter(Family(3, 0b1010), powerset(2))

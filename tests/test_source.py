@@ -1,7 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "doorlab"
+from doorlab.topology import Topology
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "doorlab"
 
 
 def test_no_assert_in_src():
@@ -40,8 +44,9 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
-# Kept without a src caller: ROADMAP item 4's eq1 <-> eq2 bridge will call it.
-NO_SRC_CALLER_YET = {"extend_by_zero_at_empty"}
+# Public functions kept without a src caller, each until the ROADMAP item
+# that will call it lands.
+NO_SRC_CALLER_YET: set[str] = set()
 
 
 def test_public_src_functions_have_src_callers():
@@ -67,3 +72,21 @@ def test_public_src_functions_have_src_callers():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         and node.name not in named | exported | NO_SRC_CALLER_YET)
     assert found == []
+
+
+def test_names_the_benchmark_reads_resolve_in_src():
+    """A traced benchmark run wraps every function `perfbench/spans.py`
+    names in `layer_targets`, and the enumeration workload reads
+    `Topology.opens`: deleting or renaming one of them would crash the
+    benchmark, so it fails here first."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    importlib.import_module("doorlab.cli")  # loads every layer, as the benchmark does
+    targets = spans.layer_targets()
+    missing = [f"{module}.{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert targets and missing == []
+    t = Topology(2, 0b1001)
+    assert t.opens.to_hex() == t.to_hex()

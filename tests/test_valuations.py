@@ -230,6 +230,20 @@ class TestDisjointAdditivity:
     def test_gaussian_rationals_match_reference_loop(self, f):
         assert satisfies_disjoint_additivity(f) == reference_disjoint_additivity(f)
 
+    @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(False),
+                                  constant=st.one_of(st.just(EC_ZERO), GAUSSIAN_RATIONALS)),
+           GAUSSIAN_RATIONALS.filter(lambda v: not v.is_zero))
+    def test_is_the_valuation_identity_of_the_zero_extension(self, f, slot0):
+        # Slot 0 lies outside the domain; a nonzero value there must not
+        # reach the check, which reads the zero extension.
+        f = SetFunction(f.n, False, (slot0,) + f.values[1:])
+        assert (satisfies_disjoint_additivity(f)[0]
+                == satisfies_valuation(extend_by_zero_at_empty(f))[0])
+
+    def test_refuses_a_function_defined_at_the_empty_set(self):
+        with pytest.raises(DomainError, match="already defined on the empty set"):
+            satisfies_disjoint_additivity(cardinality_fn(3))
+
 
 class TestModular:
     def test_decompose_cardinality(self):
