@@ -177,8 +177,9 @@ def form_bits(n: int, kinds: tuple[str, ...]) -> set[int]:
 
 
 def _matching(top: Topology, kinds: tuple[str, ...]) -> tuple[FormDescriptor, ...]:
-    return tuple(d for d in descriptors(top.n, kinds)
-                 if construct_topology(d, top.n) == top)
+    """The descriptors of `kinds` whose word is the word of `top`, which is
+    a validated topology, so each match is one too."""
+    return tuple(d for d in descriptors(top.n, kinds) if form_word(d, top.n) == top.bits)
 
 
 def classify_connected_door(top: Topology) -> ClassificationLabel:

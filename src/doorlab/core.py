@@ -134,6 +134,16 @@ def subset_key(mask: int) -> tuple[int, list[int]]:
     return (mask.bit_count(), points_of(mask))
 
 
+# The masks of MAX_POINTS points sorted by `subset_key`.  The key does not
+# depend on n, so the masks of fewer points come in the same order.
+SUBSET_ORDER = tuple(sorted(range(1 << MAX_POINTS), key=subset_key))
+
+
+def in_subset_order(word: int) -> list[int]:
+    """The member masks of the family word `word`, sorted by `subset_key`."""
+    return [m for m in SUBSET_ORDER if (word >> m) & 1]
+
+
 @dataclass(frozen=True, slots=True)
 class Family:
     """A set of subsets of {0,...,n-1}, stored as a 2^n-bit membership bitset."""
@@ -154,7 +164,7 @@ class Family:
 
     def to_subsets(self) -> list[list[int]]:
         """Members as point lists, sorted by (cardinality, lexicographic)."""
-        return [points_of(m) for m in sorted(points_of(self.bits), key=subset_key)]
+        return [points_of(m) for m in in_subset_order(self.bits)]
 
     def to_hex(self) -> str:
         return format(self.bits, HEX_SPEC[self.n])

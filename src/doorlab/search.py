@@ -94,9 +94,9 @@ def _raw_scan(n: int) -> tuple[list[int], int]:
     return words, space
 
 
-def _closure_dfs(n: int) -> tuple[list[int], int]:
+def _closure_dfs(n: int, door_traces: bool = False) -> tuple[list[int], int]:
     """Every topology on n points, grown by the one-point extension from
-    the one on a point (Alexandroff, "Diskrete Räume", 1937).
+    the one on a point (Alexandroff, "Diskrete Räume", 1937), and their count.
 
     A topology W on {0..k} is fixed by its trace T on {0..k-1}, the open set
     u of T of the points whose least open set in W misses k, and the open
@@ -106,10 +106,16 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
     holds some U_b, so holds a) whose u and a read back as chosen: each
     topology comes out exactly once.  The mode keeps its name "closure_dfs",
     which the JSON reports print, as `visited` still counts each topology once.
+
+    With `door_traces`, the last level builds only the children of door
+    traces, and counts the others without building them: T & sub[cap] holds
+    their a for each u.  A subspace of a door space is door, so the children
+    built hold every door topology on n points.
     """
-    words = [3]
+    words, skipped = [3], 0
     for k in range(1, n):
         full, shift, nxt = full_mask(k), 1 << k, []
+        every, last = (1 << shift) - 1, door_traces and k == n - 1
         # Per mask m: the subsets of m, and the supersets of m shifted onto
         # the masks holding k, so (t << shift) & sup[a] = (t & supersets) << shift.
         sub = [subsets_word(m) for m in range(shift)]
@@ -118,31 +124,42 @@ def _closure_dfs(n: int) -> tuple[list[int], int]:
             opens, high = points_of(t), t << shift
             # U_x is the least member holding x, so also the numerically least.
             mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
+            build = not last or t | complement_family(k, t) == every
             for u in opens:
                 cap = full
                 for x in range(k):
                     if not (u >> x) & 1:
                         cap &= mins[x]
-                low = t & sub[u]
-                nxt += [low | (high & sup[a]) for a in opens if not a & ~cap]
+                if build:
+                    low = t & sub[u]
+                    nxt += [low | (high & sup[a]) for a in opens if not a & ~cap]
+                else:
+                    skipped += (t & sub[cap]).bit_count()
         words = nxt
-    return words, len(words)
+    return words, len(words) + skipped
 
 
-def topology_words(n: int, mode: str = "auto") -> tuple[list[int], EnumerationReport]:
-    """Every topology on n points as its family word, in ascending order."""
+def _words(n: int, mode: str, door_traces: bool) -> tuple[list[int], EnumerationReport]:
+    """The topology words on n points in ascending order, and the report,
+    which counts every topology.  With `door_traces` the closure DFS keeps
+    only the words that may be door (see `_closure_dfs`)."""
     if mode == "auto":
         mode = "raw_scan" if n <= CAPS["raw_scan"] else "closure_dfs"
     if mode not in ("raw_scan", "closure_dfs"):
         raise CapabilityError(f"unknown enumeration mode {mode!r}")
     check_cap(mode, n)
     check_ground(n)
-    words, scanned = _raw_scan(n) if mode == "raw_scan" else _closure_dfs(n)
+    words, scanned = _raw_scan(n) if mode == "raw_scan" else _closure_dfs(n, door_traces)
+    count = len(words) if mode == "raw_scan" else scanned
     words.sort()
     report = EnumerationReport(
-        n=n, mode=mode, total_scanned=scanned,
-        counts={"topologies": len(words)})
+        n=n, mode=mode, total_scanned=scanned, counts={"topologies": count})
     return words, report
+
+
+def topology_words(n: int, mode: str = "auto") -> tuple[list[int], EnumerationReport]:
+    """Every topology on n points as its family word, in ascending order."""
+    return _words(n, mode, False)
 
 
 def enumerate_topologies(n: int, mode: str = "auto") -> tuple[list[Topology], EnumerationReport]:
@@ -157,8 +174,9 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
     door, there are 2n connected door spaces (two on two points), and each
     is an excluded-point or included-point topology.  Only door words, which
     with their complement words hold every subset, reach `space_report`: its
-    cross-check fails on no other word, as open xor closed implies door."""
-    words, rep = topology_words(n, mode)
+    cross-check fails on no other word, as open xor closed implies door.
+    The closure DFS hands that filter only the children of door traces."""
+    words, rep = _words(n, mode, True)
     every = (1 << (1 << n)) - 1
     door = [Topology(n, b) for b in words if b | complement_family(n, b) == every]
     lists: dict[str, list[Topology]] = {"door": door, "connected_door": []}

@@ -8,8 +8,8 @@ from dataclasses import asdict, dataclass
 from functools import cache
 
 from .core import (
-    MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, lattice_witness,
-    points_of, subset_key, subsets_word)
+    MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, in_subset_order,
+    lattice_witness, points_of, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -122,8 +122,8 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
     then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
     n = top.n
-    opens = sorted(points_of(top.bits & ~1), key=subset_key)
-    closeds = sorted(points_of(complement_family(n, top.bits) & ~1), key=subset_key)
+    opens = in_subset_order(top.bits & ~1)
+    closeds = in_subset_order(complement_family(n, top.bits) & ~1)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
             if a & b:

@@ -12,7 +12,8 @@ from doorlab.classify import (
     recognize_form,
 )
 from doorlab.core import DomainError, full_mask, parse_family, points_of
-from doorlab.topology import PreconditionError, validate_topology
+from doorlab.search import enumerate_topologies
+from doorlab.topology import PreconditionError, space_report, validate_topology
 
 
 def test_excluded_point_n3():
@@ -124,6 +125,22 @@ def test_roundtrip_constructible_descriptors(n):
             assert d in classify_connected_door(top).labels
         else:
             assert d in recognize_form(top).labels
+
+
+def reference_matching(top, kinds):
+    """The descriptors of `kinds` whose constructed, axiom-checked topology
+    equals `top`: the route before matching by word."""
+    return tuple(d for d in descriptors(top.n, kinds) if construct_topology(d, top.n) == top)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_labels_match_construct_reference(n):
+    for top in enumerate_topologies(n)[0]:
+        assert recognize_form(top).labels == reference_matching(
+            top, ("Form1A", "Form1B", "Form3", "T2Shape"))
+        if n > 1 and space_report(top).connected_door:
+            assert classify_connected_door(top).labels == reference_matching(
+                top, ("ExcludedPoint", "IncludedPoint"))
 
 
 def reference_descriptors(n):

@@ -383,7 +383,7 @@ def test_falsified_claim_exits_1_with_witness_under_O():
     script = (
         "import sys\n"
         "import doorlab.search as search\n"
-        "search.topology_words = lambda n, mode='auto': ([], None)\n"
+        "search._words = lambda n, mode, door_traces: ([], None)\n"
         "from doorlab.cli import run\n"
         "sys.exit(run(['enumerate', '--what', 'connected-door', '--n', '4']))\n"
     )

@@ -228,7 +228,8 @@ def reference_census(n, mode):
 
 
 @pytest.mark.parametrize("n,mode", [
-    (n, mode) for n in (1, 2, 3, 4) for mode in ("raw_scan", "closure_dfs")] + [(5, "auto")])
+    (n, mode) for n in (1, 2, 3, 4) for mode in ("raw_scan", "closure_dfs")]
+    + [(5, "auto"), (6, "closure_dfs")])
 def test_census_matches_per_topology_filters(n, mode):
     rep, lists = census(n, mode)
     reference = reference_census(n, mode)
@@ -260,6 +261,29 @@ def test_census_wraps_and_reports_door_words_only(monkeypatch, n):
     assert len(door) == load_golden(n)["door"]
 
 
+def test_census_builds_only_children_of_door_traces(monkeypatch):
+    # A subspace of a door space is door, so at n = 6 the census's last
+    # extension level builds the children of the 131 door traces on five
+    # points, not all 209,527 words, and still counts every topology.
+    door5 = {t.bits for t in census(5)[1]["door"]}
+    low = (1 << 32) - 1
+    children = [w for w in search.topology_words(6)[0] if (w | w >> 32) & low in door5]
+    built = []
+    original = search._closure_dfs
+
+    def recorded(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_closure_dfs", recorded)
+    rep = census(6)[0]
+    [(words, count)] = built
+    assert len(door5) == 131
+    assert sorted(words) == children
+    assert len(children) == 6358
+    assert count == rep.counts["topologies"] == rep.total_scanned == 209527
+
+
 def test_door_occ_claim_is_checked(monkeypatch):
     monkeypatch.setattr(search, "occ_satisfied", lambda top: (True, None))
     for check in (census, counts_report):
@@ -284,15 +308,15 @@ def test_point_topology_claim_exits_1_from_report(monkeypatch, capsys):
 def test_enumerations_per_verifier(monkeypatch, vid, most):
     # One census per ground set: a verifier that needs the topologies on n
     # points more than once reads them from the census or report it built.
+    # `_words` is the one enumeration behind `topology_words` and `census`.
     calls = []
-    original = search.topology_words
+    original = search._words
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(search, "topology_words", counted)
-    monkeypatch.setattr(verify, "topology_words", counted)
+    monkeypatch.setattr(search, "_words", counted)
     assert verify.VERIFIERS[vid]()["ok"]
     assert len(calls) <= most, calls
 
