@@ -19,7 +19,7 @@ from .classify import (
     recognize_form,
 )
 from .core import (
-    MAX_POINTS, CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family,
+    CAPS, CapabilityError, ClaimFalsified, DomainError, mask_from_points, parse_family,
     points_of)
 from .search import (
     census,
@@ -56,7 +56,7 @@ def _descriptor_from_args(args) -> FormDescriptor:
     A = None
     if args.A is not None:
         A = mask_from_points([int(x) for x in args.A.split(",") if x != ""], args.n)
-    elif kind == "T2Shape" and args.p is not None and 0 <= args.p < args.n <= MAX_POINTS:
+    elif kind == "T2Shape" and args.p is not None and 0 <= args.p < args.n <= CAPS["ground set"]:
         # A = {p} only for a p in range: the range checks name p itself.
         A = 1 << args.p
     return FormDescriptor(kind, a=args.a, b=args.b, seed=args.seed,

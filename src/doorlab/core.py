@@ -2,7 +2,7 @@
 
 A subset of X = {0, ..., n-1} is an n-bit integer (bit i set iff point i is
 in the subset).  A family of subsets is a 2^n-bit integer indexed by subset
-mask.  With n capped at 6 a family always fits in a single 64-bit word.
+mask.  CAPS["ground set"] bounds n and so the width of every family word.
 """
 
 from __future__ import annotations
@@ -10,17 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-MAX_POINTS = 6
-
-# Largest ground set each job accepts; the key is the job's name in the
-# error message.
+# The size caps.  "ground set" bounds n everywhere and sizes every per-n
+# table; each other entry is the largest n a job accepts, keyed by the job's
+# name in the error message.
 CAPS = {
+    "ground set": 10,
     "raw_scan": 4,
-    "closure_dfs": MAX_POINTS,
-    "occ-door enumeration": MAX_POINTS,
+    "closure_dfs": 6,
+    "occ-door enumeration": 6,
     "brute solution scan": 4,
-    "modular solution scan": MAX_POINTS,
-    "counts report": MAX_POINTS,
+    "modular solution scan": 6,
+    "counts report": 6,
 }
 
 
@@ -44,17 +44,18 @@ class ClaimFalsified(Exception):
 def check_cap(job: str, n: int) -> None:
     if n > CAPS[job]:
         raise CapabilityError(f"{job} caps at n = {CAPS[job]}")
+    check_ground(n)
 
 
 def check_ground(n: int) -> None:
-    if not 1 <= n <= MAX_POINTS:
-        raise DomainError(f"ground set size {n} outside [1, {MAX_POINTS}]")
+    if not 1 <= n <= CAPS["ground set"]:
+        raise DomainError(f"ground set size {n} outside [1, {CAPS['ground set']}]")
 
 
 # WORD_END[n] bounds the family words of n points; HEX_SPEC[n] formats one
 # as 2^n / 4 hex digits.
-WORD_END = tuple(1 << (1 << n) for n in range(MAX_POINTS + 1))
-HEX_SPEC = tuple(f"0{(1 << n) // 4 or 1}x" for n in range(MAX_POINTS + 1))
+WORD_END = tuple(1 << (1 << n) for n in range(CAPS["ground set"] + 1))
+HEX_SPEC = tuple(f"0{(1 << n) // 4 or 1}x" for n in range(CAPS["ground set"] + 1))
 
 
 def full_mask(n: int) -> int:
@@ -134,14 +135,14 @@ def subset_key(mask: int) -> tuple[int, list[int]]:
     return (mask.bit_count(), points_of(mask))
 
 
-# The masks of MAX_POINTS points sorted by `subset_key`.  The key does not
-# depend on n, so the masks of fewer points come in the same order.
-SUBSET_ORDER = tuple(sorted(range(1 << MAX_POINTS), key=subset_key))
+# SUBSET_ORDER[n] is the 2^n masks of n points sorted by `subset_key`.
+SUBSET_ORDER = tuple(tuple(sorted(range(1 << n), key=subset_key))
+                     for n in range(CAPS["ground set"] + 1))
 
 
-def in_subset_order(word: int) -> list[int]:
-    """The member masks of the family word `word`, sorted by `subset_key`."""
-    return [m for m in SUBSET_ORDER if (word >> m) & 1]
+def in_subset_order(n: int, word: int) -> list[int]:
+    """The member masks of the n-point family word `word`, by `subset_key`."""
+    return [m for m in SUBSET_ORDER[n] if (word >> m) & 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +153,7 @@ class Family:
     bits: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.n <= MAX_POINTS and 0 <= self.bits < WORD_END[self.n]):
+        if not (0 < self.n <= CAPS["ground set"] and 0 <= self.bits < WORD_END[self.n]):
             check_ground(self.n)
             raise DomainError(f"family bits out of range for n={self.n}")
 
@@ -164,7 +165,7 @@ class Family:
 
     def to_subsets(self) -> list[list[int]]:
         """Members as point lists, sorted by (cardinality, lexicographic)."""
-        return [points_of(m) for m in in_subset_order(self.bits)]
+        return [points_of(m) for m in in_subset_order(self.n, self.bits)]
 
     def to_hex(self) -> str:
         return format(self.bits, HEX_SPEC[self.n])

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 
 from .core import (
-    MAX_POINTS, ClaimFalsified, Family, complement_family, full_mask, in_subset_order,
+    CAPS, ClaimFalsified, Family, complement_family, full_mask, in_subset_order,
     lattice_witness, points_of, subsets_word)
 
 
@@ -80,14 +80,15 @@ class SpaceReport:
 # Bit 1 << p of a family word is the singleton {p}.  SINGLETON_BITS[n] keeps
 # those bits for the points of an n-point space, and SINGLETON_POINTS maps a
 # word masked to them to its sorted points, which do not depend on n.
-SINGLETON_BITS = tuple(sum(1 << (1 << p) for p in range(n)) for n in range(MAX_POINTS + 1))
+SINGLETON_BITS = tuple(
+    sum(1 << (1 << p) for p in range(n)) for n in range(CAPS["ground set"] + 1))
 SINGLETON_POINTS = {
     sum(1 << (1 << p) for p in points_of(s)): tuple(points_of(s))
-    for s in range(1 << MAX_POINTS)}
+    for s in range(1 << CAPS["ground set"])}
 
 
 # A report is frozen and fixed by its seven fields, so equal reports share
-# one instance; 5,630 distinct ones exist over n <= MAX_POINTS.
+# one instance; enumeration, which stops at n = 6, makes 5,630 distinct ones.
 _shared_report = cache(SpaceReport)
 
 
@@ -122,8 +123,8 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
     then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
     n = top.n
-    opens = in_subset_order(top.bits & ~1)
-    closeds = in_subset_order(complement_family(n, top.bits) & ~1)
+    opens = in_subset_order(n, top.bits & ~1)
+    closeds = in_subset_order(n, complement_family(n, top.bits) & ~1)
     for ia, a in enumerate(opens):
         for b in opens[ia + 1:]:
             if a & b:

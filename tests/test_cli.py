@@ -364,7 +364,34 @@ def test_construct_ground_set_checked_first(n):
         env=src_env(), capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"error: ground set size {n} outside [1, 6]\n"
+    assert proc.stderr == f"error: ground set size {n} outside [1, 10]\n"
+
+
+@pytest.mark.parametrize("n", ["7", "8", "10"])
+def test_construct_past_the_enumeration_caps_round_trips(n):
+    # construct, check and classify take every n up to the ground set
+    # bound.  check at n = 10 is left out: its OCC scan takes seconds.
+    def doorlab(*argv):
+        proc = subprocess.run([sys.executable, "-m", "doorlab.cli", *argv],
+                              env=src_env(), capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return json.loads(proc.stdout)
+
+    top = doorlab("construct", "--form", "excluded-point", "--n", n, "--a", "0")
+    family = json.dumps(top["opens"])
+    doc = doorlab("classify", "--n", n, "--family", family)
+    assert doc["connected_door"]["labels"] == [{"kind": "ExcludedPoint", "a": 0}]
+    if n != "10":
+        doc = doorlab("check", "--n", n, "--family", family)
+        assert doc["topology"] == top
+        assert (doc["report"]["connected_door"], doc["occ"], doc["lemma1"]) == (True,) * 3
+
+
+def test_construct_t2_takes_A_from_p_up_to_the_ground_set_bound(capsys):
+    argv = ["construct", "--form", "t2", "--n", "10", "--p", "9", "--q", "0"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    assert capture(capsys, [*argv, "--A", "9"]) == (0, out, "")
 
 
 def test_unknown_option_rejected(capsys):

@@ -91,8 +91,8 @@ def test_parse_family_out_of_range():
 
 
 @pytest.mark.parametrize("n,bits,message", [
-    (0, 0, "ground set size 0 outside [1, 6]"),
-    (7, 0, "ground set size 7 outside [1, 6]"),
+    (0, 0, "ground set size 0 outside [1, 10]"),
+    (11, 0, "ground set size 11 outside [1, 10]"),
     (3, -1, "family bits out of range for n=3"),
     (3, 1 << 8, "family bits out of range for n=3"),
     (6, 1 << 64, "family bits out of range for n=6"),
@@ -104,7 +104,7 @@ def test_family_error_messages(n, bits, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8), (6, 16)])
+@pytest.mark.parametrize("n,width", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8), (6, 16), (10, 256)])
 def test_family_hex_width(n, width):
     assert Family(n, 1).to_hex() == "0" * (width - 1) + "1"
     assert len(Family(n, (1 << (1 << n)) - 1).to_hex()) == width
@@ -199,7 +199,8 @@ def test_mask_points_roundtrip():
 
 
 def test_ground_cap():
-    with pytest.raises(DomainError):
-        powerset(7)
-    with pytest.raises(DomainError):
+    assert len(powerset(10)) == 1 << 10
+    with pytest.raises(DomainError, match=r"ground set size 11 outside \[1, 10\]"):
+        powerset(11)
+    with pytest.raises(DomainError, match=r"ground set size 0 outside \[1, 10\]"):
         powerset(0)

@@ -74,9 +74,9 @@ def test_partition_cover_error():
     (2, [0b100, 0b011], "block 4 out of range for n=2"),
     (2, [-1], "block -1 out of range for n=2"),
     (3, [0b011, -4], "block -4 out of range for n=3"),
-    (0, [0b1], "ground set size 0 outside [1, 6]"),
-    (0, [], "ground set size 0 outside [1, 6]"),
-    (7, [0b1111111], "ground set size 7 outside [1, 6]"),
+    (0, [0b1], "ground set size 0 outside [1, 10]"),
+    (0, [], "ground set size 0 outside [1, 10]"),
+    (11, [0b11111111111], "ground set size 11 outside [1, 10]"),
 ])
 def test_partition_outside_ground_set_is_named(n, blocks, message):
     # Neither reaches the cover check, which would name point -1.

@@ -8,7 +8,7 @@ import doorlab.search as search
 import doorlab.verify as verify
 from doorlab.classify import ClassificationLabel, FormDescriptor
 from doorlab.cli import run
-from doorlab.core import ClaimFalsified, subsets_word, supersets_word
+from doorlab.core import CAPS, ClaimFalsified, DomainError, subsets_word, supersets_word
 from doorlab.search import (
     CapabilityError,
     census,
@@ -202,6 +202,34 @@ def test_raw_scan_cap():
 def test_closure_cap():
     with pytest.raises(CapabilityError, match="n = 6"):
         enumerate_topologies(7, "closure_dfs")
+
+
+# The entry point of each job in `CAPS`, called on n points.
+CAP_ENTRY_POINTS = {
+    "raw_scan": lambda n: enumerate_topologies(n, "raw_scan"),
+    "closure_dfs": lambda n: enumerate_topologies(n, "closure_dfs"),
+    "occ-door enumeration": enumerate_occ_door,
+    "brute solution scan": lambda n: enumerate_solutions(n, [ec(0), ec(1)], mode="brute"),
+    "modular solution scan": lambda n: enumerate_solutions(n, [ec(0), ec(1)], mode="modular"),
+    "counts report": counts_report,
+}
+
+
+@pytest.mark.parametrize("job", sorted(set(CAPS) - {"ground set"}))
+def test_every_job_refuses_past_its_cap_then_outside_the_ground_set(job):
+    entry = CAP_ENTRY_POINTS[job]
+    with pytest.raises(CapabilityError) as exc:
+        entry(CAPS[job] + 1)
+    assert str(exc.value) == f"{job} caps at n = {CAPS[job]}"
+    with pytest.raises(DomainError) as exc:
+        entry(0)
+    assert str(exc.value) == "ground set size 0 outside [1, 10]"
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_occ_door_refuses_an_unknown_mode_at_every_n(n):
+    with pytest.raises(CapabilityError, match="unknown enumeration mode 'bogus'"):
+        enumerate_occ_door(n, "bogus")
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 8), (5, 10)])

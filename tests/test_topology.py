@@ -5,7 +5,8 @@ import pytest
 
 import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology
-from doorlab.core import Family, parse_family, points_of, powerset, subset_key
+from doorlab.core import (
+    Family, complement_family, in_subset_order, parse_family, points_of, powerset, subset_key)
 from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
@@ -112,7 +113,7 @@ def test_replace_leaves_shared_report_unchanged():
     assert space_report(discrete(3)) is shared and shared.to_json() == fields
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_singleton_table_matches_point_loop(n):
     rng = random.Random(n)
     singles = doorlab.topology.SINGLETON_BITS[n]
@@ -123,6 +124,19 @@ def test_singleton_table_matches_point_loop(n):
                 w |= 1 << (1 << p)
         assert doorlab.topology.SINGLETON_POINTS[w & singles] == tuple(
             p for p in range(n) if (w >> (1 << p)) & 1)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_member_order_is_the_subset_key_sort(n):
+    # `to_subsets` reads the order of a word, and `occ_satisfied` that of
+    # its nonempty opens and closeds.
+    rng = random.Random(n)
+    for _ in range(4):
+        w = rng.getrandbits(1 << n)
+        expected = sorted(points_of(w), key=subset_key)
+        assert Family(n, w).to_subsets() == [points_of(m) for m in expected]
+        for word in (w & ~1, complement_family(n, w) & ~1):
+            assert in_subset_order(n, word) == sorted(points_of(word), key=subset_key)
 
 
 def test_per_topology_dataclasses_have_no_dict():

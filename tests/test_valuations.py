@@ -189,6 +189,12 @@ class TestValuation:
     def test_cardinality_is_modular(self):
         assert satisfies_valuation(cardinality_fn(3))[0]
 
+    def test_cardinality_on_seven_points(self):
+        # Past every job cap, inside the ground set bound.
+        f = cardinality_fn(7)
+        assert satisfies_valuation(f)[0]
+        assert modular_decompose(f) == (EC_ZERO, (ec(1),) * 7)
+
     def test_indicator_difference(self):
         vals = tuple(
             ec(((m >> 1) & 1) - (m & 1)) for m in range(8))
