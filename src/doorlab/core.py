@@ -8,6 +8,7 @@ mask.  CAPS["ground set"] bounds n and so the width of every family word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 # The size caps.  "ground set" bounds n everywhere and sizes every per-n
@@ -130,18 +131,15 @@ def points_of(word: int) -> list[int]:
     return out
 
 
-def subset_key(mask: int) -> tuple[int, list[int]]:
-    """Canonical sort key: (cardinality, sorted point list)."""
-    return (mask.bit_count(), points_of(mask))
-
-
-# SUBSET_ORDER[n] is the 2^n masks of n points sorted by `subset_key`.
-SUBSET_ORDER = tuple(tuple(sorted(range(1 << n), key=subset_key))
-                     for n in range(CAPS["ground set"] + 1))
+# SUBSET_ORDER[n] is the 2^n masks of n points by cardinality, then sorted
+# point list: the order in which `combinations` yields each size's masks.
+SUBSET_ORDER = tuple(
+    tuple(sum(c) for k in range(n + 1) for c in combinations([1 << p for p in range(n)], k))
+    for n in range(CAPS["ground set"] + 1))
 
 
 def in_subset_order(n: int, word: int) -> list[int]:
-    """The member masks of the n-point family word `word`, by `subset_key`."""
+    """The member masks of the n-point word `word`, in `SUBSET_ORDER[n]`'s combinations order."""
     return [m for m in SUBSET_ORDER[n] if (word >> m) & 1]
 
 

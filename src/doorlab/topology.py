@@ -77,19 +77,22 @@ class SpaceReport:
         return asdict(self)  # json writes the two tuples as arrays
 
 
-# Bit 1 << p of a family word is the singleton {p}.  SINGLETON_BITS[n] keeps
-# those bits for the points of an n-point space, and SINGLETON_POINTS maps a
-# word masked to them to its sorted points, which do not depend on n.
+# Bit 1 << p of a family word is the singleton {p}, so SINGLETON_BITS[n]
+# keeps the singletons of an n-point space.
 SINGLETON_BITS = tuple(
     sum(1 << (1 << p) for p in range(n)) for n in range(CAPS["ground set"] + 1))
-SINGLETON_POINTS = {
-    sum(1 << (1 << p) for p in points_of(s)): tuple(points_of(s))
-    for s in range(1 << CAPS["ground set"])}
 
 
-# A report is frozen and fixed by its seven fields, so equal reports share
-# one instance; enumeration, which stops at n = 6, makes 5,630 distinct ones.
-_shared_report = cache(SpaceReport)
+@cache
+def _shared_report(connected: bool, door: bool, connected_door: bool, t1: bool,
+                   open_singles: int, closed_singles: int, clopen_proper: int) -> SpaceReport:
+    """The report of these fields, its singletons given as words masked to
+    the singleton bits: one-to-one with point tuples, so equal reports share
+    one instance, decoded into points once (5,630 of them up to n = 6)."""
+    return SpaceReport(connected, door, connected_door, t1,
+                       tuple(m.bit_length() - 1 for m in points_of(open_singles)),
+                       tuple(m.bit_length() - 1 for m in points_of(closed_singles)),
+                       clopen_proper)
 
 
 def space_report(top: Topology) -> SpaceReport:
@@ -110,16 +113,15 @@ def space_report(top: Topology) -> SpaceReport:
                              {"n": n, "hex": top.to_hex()})
 
     singles = SINGLETON_BITS[n]
-    closed_singles = SINGLETON_POINTS[c & singles]
-    return _shared_report(connected, door, connected_door, len(closed_singles) == n,
-                          SINGLETON_POINTS[o & singles], closed_singles, clopen_proper)
+    return _shared_report(connected, door, connected_door, c & singles == singles,
+                          o & singles, c & singles, clopen_proper)
 
 
 def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None]:
     """OCC: no pairwise disjoint nonempty A, B open and C, D closed.
 
     Returns (True, None) or (False, (A, B, C, D)) with the first witness
-    when opens and closeds are each sorted by `subset_key`: cardinality,
+    when opens and closeds are each read in `SUBSET_ORDER`: cardinality,
     then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
     n = top.n

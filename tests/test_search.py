@@ -267,6 +267,8 @@ def test_census_matches_per_topology_filters(n, mode):
     keys = ("topologies", "door", "connected_door", "occ_door")
     counts = {k: len(v) for k, v in lists.items()} | rep.counts
     assert counts == {k: golden[k] for k in keys if k in golden}
+    # A third route for the door count: the closed count n·2^n − n² − n + 1.
+    assert counts["door"] == n * 2**n - n * n - n + 1
 
 
 @pytest.mark.parametrize("n", [4, 5])

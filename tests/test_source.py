@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from doorlab.topology import Topology
@@ -90,3 +93,36 @@ def test_names_the_benchmark_reads_resolve_in_src():
     assert targets and missing == []
     t = Topology(2, 0b1001)
     assert t.opens.to_hex() == t.to_hex()
+
+
+IMPORT_PROFILE = """
+import json, os, sys
+src = sys.argv[1]
+sys.path.insert(0, os.path.dirname(src))
+ran = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        ran.add(os.path.basename(code.co_filename) + ":" + code.co_name)
+
+sys.setprofile(profile)
+import doorlab.cli
+sys.setprofile(None)
+print(json.dumps(sorted(ran)))
+"""
+
+
+def test_import_runs_no_src_function():
+    """Importing the CLI, in a fresh interpreter, runs module and class
+    bodies and comprehensions only: no function that src defines, so no
+    table is decoded at import however wide the ground set grows."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROFILE, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    ran = set(json.loads(out))
+    defs = {f"{path.name}:{node.name}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "core.py:<module>" in ran and "cli.py:<module>" in ran
+    assert sorted(ran & defs) == []

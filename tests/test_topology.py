@@ -6,7 +6,7 @@ import pytest
 import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology
 from doorlab.core import (
-    Family, complement_family, in_subset_order, parse_family, points_of, powerset, subset_key)
+    SUBSET_ORDER, Family, complement_family, in_subset_order, parse_family, points_of, powerset)
 from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
@@ -18,6 +18,11 @@ from doorlab.topology import (
     space_report,
     validate_topology,
 )
+
+
+def subset_key(mask):
+    """The reference member order: cardinality, then sorted point list."""
+    return (mask.bit_count(), points_of(mask))
 
 
 def is_open(top, m):
@@ -113,20 +118,34 @@ def test_replace_leaves_shared_report_unchanged():
     assert space_report(discrete(3)) is shared and shared.to_json() == fields
 
 
+def point_spaces(n):
+    """The excluded-point and included-point spaces at every point."""
+    return [construct_topology(FormDescriptor(kind, a=p), n)
+            for kind in ("ExcludedPoint", "IncludedPoint") for p in range(n)]
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_singleton_table_matches_point_loop(n):
-    rng = random.Random(n)
-    singles = doorlab.topology.SINGLETON_BITS[n]
-    for s in range(1 << n):
-        w = rng.getrandbits(1 << n) & ~singles
-        for p in range(n):
-            if (s >> p) & 1:
-                w |= 1 << (1 << p)
-        assert doorlab.topology.SINGLETON_POINTS[w & singles] == tuple(
-            p for p in range(n) if (w >> (1 << p)) & 1)
+    # The report's singleton table (open and closed singletons, and t1) is
+    # read from the singleton bits of its words; here, point by point.
+    if n <= 4:
+        tops = enumerate_topologies(n)[0]
+    else:
+        tops = [discrete(n), indiscrete(n), *point_spaces(n)]
+    for top in tops:
+        rep = space_report(top)
+        closed = tuple(p for p in range(n) if is_closed(top, 1 << p))
+        assert rep.open_singletons == tuple(p for p in range(n) if is_open(top, 1 << p))
+        assert rep.closed_singletons == closed
+        assert rep.t1 == (len(closed) == n)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize("n", range(11))
+def test_subset_order_is_the_subset_key_sort(n):
+    assert SUBSET_ORDER[n] == tuple(sorted(range(1 << n), key=subset_key))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_member_order_is_the_subset_key_sort(n):
     # `to_subsets` reads the order of a word, and `occ_satisfied` that of
     # its nonempty opens and closeds.
