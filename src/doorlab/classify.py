@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    ClaimFalsified, DomainError, Family, check_ground, full_mask, points_of, subsets_word,
-    supersets_word)
+    ClaimFalsified, DomainError, Family, check_ground, full_mask, points_of, subsets_word)
 from .topology import PreconditionError, Topology, space_report, validate_topology
 
 
@@ -29,17 +28,18 @@ VALID_KINDS = (
 
 @dataclass(frozen=True)
 class FormDescriptor:
-    """Symbolic name of a topology form.
+    """Symbolic name of a topology form.  Each constructible kind is the
+    cylinder C(S, T) = {∅, X} ∪ {A : A ∩ S = T}.
 
-    kind            parameters
-    ExcludedPoint   a
-    IncludedPoint   a
-    UltrafilterType seed (principal point)
-    Form1A          a, seed  (ultrafilter on X minus {a}, principal at seed)
-    Form1B          a, seed  (same seed convention)
+    kind            parameters  S          T
+    ExcludedPoint   a           {a}        ∅
+    IncludedPoint   a           {a}        {a}
+    UltrafilterType seed        {seed}     {seed}  (principal point)
+    Form1A          a, seed     {a, seed}  {seed}  (ultrafilter on X minus {a}, principal at seed)
+    Form1B          a, seed     {a, seed}  {a, seed}  (same seed convention)
     Form2           A plus two free seeds -- never constructible here
-    Form3           a, b
-    T2Shape         A, p, q  (principal seeds on A and its complement)
+    Form3           a, b        {a, b}     ∅
+    T2Shape         A, p, q     {p, q}     {p, q}  (principal seeds on A and its complement)
     """
 
     kind: str
@@ -70,9 +70,18 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def _require_given(d: FormDescriptor, *names: str) -> None:
-    for name in names:
-        _require(getattr(d, name) is not None, f"parameter {name} missing")
+# Every constructible kind is a cylinder C(S, T) = {∅, X} ∪ {A : A ∩ S = T}.
+# A row names the points of S, and bit i of its flags puts the i-th named
+# point in T.  Form2 has no row: it needs free ultrafilters.
+_CYLINDERS = {
+    "ExcludedPoint": (("a",), 0b0),
+    "IncludedPoint": (("a",), 0b1),
+    "UltrafilterType": (("seed",), 0b1),
+    "Form1A": (("a", "seed"), 0b10),
+    "Form1B": (("a", "seed"), 0b11),
+    "Form3": (("a", "b"), 0b00),
+    "T2Shape": (("p", "q"), 0b11),
+}
 
 
 def form_word(d: FormDescriptor, n: int) -> int:
@@ -82,55 +91,34 @@ def form_word(d: FormDescriptor, n: int) -> int:
     check_ground(n)  # before any 2^n-bit word is built
     full = full_mask(n)
     k = d.kind
-
     if k == "Form2":
         raise UnconstructibleError(
             "unconstructible: free ultrafilters do not exist on finite sets")
-
-    if k == "ExcludedPoint":
-        _require_given(d, "a")
-        _require(0 <= d.a < n, "parameter a out of range")
-        return (1 << full) | subsets_word(full & ~(1 << d.a))
-
-    elif k in ("IncludedPoint", "UltrafilterType"):
-        name = "a" if k == "IncludedPoint" else "seed"
-        _require_given(d, name)
-        point = getattr(d, name)
-        _require(0 <= point < n, f"parameter {name} out of range")
-        return 1 | supersets_word(n, 1 << point)
-
-    elif k in ("Form1A", "Form1B"):
-        _require_given(d, "a")
-        _require(0 <= d.a < n, "parameter a out of range")
-        _require_given(d, "seed")
-        _require(0 <= d.seed < n, "parameter seed out of range")
-        _require(d.seed != d.a, "seed must be a point distinct from a")
-        if k == "Form1A":
-            # the principal ultrafilter at seed on X minus {a}
-            filt = supersets_word(n, 1 << d.seed) & subsets_word(full & ~(1 << d.a))
-        else:
-            # {a} joined with a filter member: supersets of {a, seed}
-            filt = supersets_word(n, (1 << d.a) | (1 << d.seed))
-        return 1 | (1 << full) | filt
-
-    elif k == "Form3":
-        _require_given(d, "a", "b")
-        _require(0 <= d.a < n, "parameter a out of range")
-        _require(0 <= d.b < n, "parameter b out of range")
-        _require(d.a != d.b, "need distinct points a, b")
-        return (1 << full) | subsets_word(full & ~((1 << d.a) | (1 << d.b)))
-
-    else:  # T2Shape: __post_init__ admits no kind outside VALID_KINDS
+    names, flags = _CYLINDERS[k]
+    if k == "T2Shape":
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
         _require(d.p is None or d.p < n, "parameter p out of range")
-        _require_given(d, "A")
+        _require(d.A is not None, "parameter A missing")
         _require(0 < d.A < full, "A must be proper nonempty")
-        _require_given(d, "p")
-        _require((d.A >> d.p) & 1, "p must lie in A")
-        _require_given(d, "q")
-        _require(0 <= d.q < n, "parameter q out of range")
-        _require(not (d.A >> d.q) & 1, "q must lie outside A")
-        return 1 | (1 << full) | supersets_word(n, (1 << d.p) | (1 << d.q))
+    elif k == "Form3":
+        _require(d.a is not None, "parameter a missing")
+        _require(d.b is not None, "parameter b missing")
+    S = T = 0
+    for i, name in enumerate(names):
+        point = getattr(d, name)
+        if point is None:
+            raise DomainError(f"parameter {name} missing")
+        if not 0 <= point < n:
+            raise DomainError(f"parameter {name} out of range")
+        if k == "T2Shape":  # p on the A side, q off it
+            _require((d.A >> point) & 1 != i, "q must lie outside A" if i else "p must lie in A")
+        S |= 1 << point
+        T |= ((flags >> i) & 1) << point
+    if S.bit_count() < len(names):  # T2Shape's p and q differ by their sides of A
+        raise DomainError("need distinct points a, b" if k == "Form3"
+                          else "seed must be a point distinct from a")
+    # A ∩ S = T exactly when A = T + B for some B ⊆ X minus S
+    return 1 | (1 << full) | (subsets_word(full & ~S) << T)
 
 
 def construct_topology(d: FormDescriptor, n: int) -> Topology:

@@ -144,7 +144,8 @@ def verify_theorem4() -> dict:
     ok = ok and len(sols_lad) == 6
     shape = classify_value_shape([ec(0), ec(1), ec(2)])
     ok = ok and shape["shape"] == "ZeroZ2Z"
-    # A T2Shape topology depends only on {p, q}, not on A.
+    # A T2Shape topology is C({p, q}, {p, q}), the word of Form1B at {p, q}:
+    # it depends only on {p, q}, not on A.
     t2_bits = form_bits(n, ("T2Shape",))
     for f in sols_lad:
         fam = induced_family(f, ec(2))

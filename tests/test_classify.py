@@ -9,6 +9,7 @@ from doorlab.classify import (
     classify_connected_door,
     construct_topology,
     descriptors,
+    form_word,
     recognize_form,
 )
 from doorlab.core import DomainError, full_mask, parse_family, points_of
@@ -195,7 +196,32 @@ def reference_construct_bits(d, n):
     return sum(1 << m for m in range(1 << n) if keep(m))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_construct_matches_per_mask_reference(n):
     for d in descriptors(n, VALID_KINDS):
         assert construct_topology(d, n).bits == reference_construct_bits(d, n)
+
+
+def reference_cylinders(n):
+    """The words of C(S, T) = {∅, X} ∪ {A : A ∩ S = T} for 1 ≤ |S| ≤ 2 and
+    T ⊆ S, built by testing every mask."""
+    full = full_mask(n)
+    out = set()
+    for S in range(1, 1 << n):
+        if len(points_of(S)) <= 2:
+            for T in range(1 << n):
+                if T & ~S == 0:
+                    out.add(sum(1 << m for m in range(1 << n)
+                                if m in (0, full) or m & S == T))
+    return out
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 18), (4, 32), (5, 50),
+                                      (6, 72), (7, 98)])
+def test_form_words_are_the_small_cylinders(n, count):
+    """The named forms are exactly the cylinders with 1 ≤ |S| ≤ 2, 2n² of
+    them for n ≥ 3."""
+    words = {form_word(d, n) for d in descriptors(n, VALID_KINDS)}
+    assert words == reference_cylinders(n)
+    assert len(words) == count
+    assert n < 3 or count == 2 * n * n

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from doorlab import classify, cli, valuations
 from doorlab.topology import Topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,3 +127,13 @@ def test_import_runs_no_src_function():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "core.py:<module>" in ran and "cli.py:<module>" in ran
     assert sorted(ran & defs) == []
+
+
+def test_form_kinds_agree_across_modules():
+    """A form kind is in `VALID_KINDS`, the CLI's form names, the cylinder
+    rows of `classify` and the Part 2 table of `valuations` alike, except
+    Form2, which has no row in either table: no kind is half added."""
+    kinds = set(classify.VALID_KINDS)
+    assert kinds == set(cli.FORM_NAMES.values())
+    constructible = kinds - {"Form2"}
+    assert constructible == set(classify._CYLINDERS) == set(valuations._PART2_TABLES)
