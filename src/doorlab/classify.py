@@ -188,6 +188,8 @@ def classify_connected_door(top: Topology) -> ClassificationLabel:
 
 
 def recognize_form(top: Topology) -> ClassificationLabel:
-    """All Form1A / Form1B / Form3 / T2Shape descriptors (with principal
-    seeds) whose construction equals the given topology."""
-    return ClassificationLabel(_matching(top, ("Form1A", "Form1B", "Form3", "T2Shape")))
+    """All Form1A / Form1B / Form3 / T2Shape descriptors (principal seeds)
+    matching `top`; T2Shape only after a Form1B, whose word it is at {p, q}."""
+    labels = _matching(top, ("Form1A", "Form1B", "Form3"))
+    t2 = _matching(top, ("T2Shape",)) if any(d.kind == "Form1B" for d in labels) else ()
+    return ClassificationLabel(labels + t2)

@@ -49,27 +49,12 @@ class EnumerationReport:
         }
 
 
-def _subset_lanes(n: int) -> list[int]:
-    """For each subset s of n points, the 2^(2^n)-bit lane word whose bit b
-    is set when family word b holds s, that is when bit s of b is set: a
-    periodic run of 2^s zeros then 2^s ones, built by doubling."""
-    space = 1 << (1 << n)
-    has = []
-    for s in range(1 << n):
-        run = 1 << s
-        lane, width = ((1 << run) - 1) << run, run << 1
-        while width < space:
-            lane |= lane << width
-            width <<= 1
-        has.append(lane)
-    return has
-
-
 def _raw_scan(n: int) -> tuple[list[int], int]:
     """Every family word b in range(2^(2^n)) that is a topology, in
     ascending order, checked on all candidates at once (bit-slicing, after
-    Biham, FSE 1997): bit b of each lane word of `_subset_lanes` speaks for
-    candidate b.
+    Biham, FSE 1997): bit b of the lane word of mask s is set when family
+    word b holds s.  Word b is itself a subset of the 2^n masks, so the lane
+    of s is the word of the supersets of {s} on those 2^n points.
 
     A candidate is a topology when it holds the empty set and X, and for
     every pair u < v it holds both u | v and u & v whenever it holds u and
@@ -78,7 +63,7 @@ def _raw_scan(n: int) -> tuple[list[int], int]:
     once, so their conjunction is exactly the set of topologies.  A pair
     with u within v is skipped: its union and meet are v and u themselves."""
     space = 1 << (1 << n)
-    has = _subset_lanes(n)
+    has = [supersets_word(1 << n, 1 << s) for s in range(1 << n)]
     ok = has[0] & has[full_mask(n)]
     for u in range(1 << n):
         for v in range(u + 1, 1 << n):

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache
+from itertools import combinations
 
 from .core import (
-    CAPS, ClaimFalsified, Family, complement_family, full_mask, in_subset_order,
+    CAPS, SUBSET_ORDER, ClaimFalsified, Family, complement_family, full_mask,
     lattice_witness, points_of, subsets_word)
 
 
@@ -84,15 +85,19 @@ SINGLETON_BITS = tuple(
 
 
 @cache
+def _singleton_points(singles: int) -> tuple[int, ...]:
+    """The points of a word masked to the singleton bits, one shared tuple per word."""
+    return tuple(m.bit_length() - 1 for m in points_of(singles))
+
+
+@cache
 def _shared_report(connected: bool, door: bool, connected_door: bool, t1: bool,
                    open_singles: int, closed_singles: int, clopen_proper: int) -> SpaceReport:
     """The report of these fields, its singletons given as words masked to
     the singleton bits: one-to-one with point tuples, so equal reports share
-    one instance, decoded into points once (5,630 of them up to n = 6)."""
-    return SpaceReport(connected, door, connected_door, t1,
-                       tuple(m.bit_length() - 1 for m in points_of(open_singles)),
-                       tuple(m.bit_length() - 1 for m in points_of(closed_singles)),
-                       clopen_proper)
+    one instance (5,630 of them up to n = 6)."""
+    return SpaceReport(connected, door, connected_door, t1, _singleton_points(open_singles),
+                       _singleton_points(closed_singles), clopen_proper)
 
 
 def space_report(top: Topology) -> SpaceReport:
@@ -117,6 +122,20 @@ def space_report(top: Topology) -> SpaceReport:
                           o & singles, c & singles, clopen_proper)
 
 
+def _least_sets(n: int, word: int) -> list[int]:
+    """The least members of `word` holding each point, in `SUBSET_ORDER`: those
+    holding a point that no earlier one holds.  Each set of an OCC witness
+    shrinks to a least set that comes no later, so the first witness is of these."""
+    least, covered, full = [], 0, full_mask(n)
+    for m in SUBSET_ORDER[n]:
+        if (word >> m) & 1 and m & ~covered:
+            least.append(m)
+            covered |= m
+            if covered == full:
+                break
+    return least
+
+
 def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None]:
     """OCC: no pairwise disjoint nonempty A, B open and C, D closed.
 
@@ -124,21 +143,13 @@ def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None
     when opens and closeds are each read in `SUBSET_ORDER`: cardinality,
     then sorted point list, so {0, 3} (mask 9) comes before {1, 2} (mask 6).
     """
-    n = top.n
-    opens = in_subset_order(n, top.bits & ~1)
-    closeds = in_subset_order(n, complement_family(n, top.bits) & ~1)
-    for ia, a in enumerate(opens):
-        for b in opens[ia + 1:]:
-            if a & b:
-                continue
-            ab = a | b
-            for ic, c in enumerate(closeds):
-                if c & ab:
-                    continue
-                for d in closeds[ic + 1:]:
-                    if d & (ab | c):
-                        continue
-                    return False, (a, b, c, d)
+    closeds = _least_sets(top.n, complement_family(top.n, top.bits))
+    for a, b in combinations(_least_sets(top.n, top.bits), 2):
+        if a & b:
+            continue
+        for c, d in combinations(closeds, 2):
+            if not (a | b) & c and not (a | b | c) & d:
+                return False, (a, b, c, d)
     return True, None
 
 

@@ -11,10 +11,11 @@ from doorlab.classify import (
     descriptors,
     form_word,
     recognize_form,
+    _matching,
 )
 from doorlab.core import DomainError, full_mask, parse_family, points_of
 from doorlab.search import enumerate_topologies
-from doorlab.topology import PreconditionError, space_report, validate_topology
+from doorlab.topology import PreconditionError, Topology, space_report, validate_topology
 
 
 def test_excluded_point_n3():
@@ -142,6 +143,19 @@ def test_labels_match_construct_reference(n):
         if n > 1 and space_report(top).connected_door:
             assert classify_connected_door(top).labels == reference_matching(
                 top, ("ExcludedPoint", "IncludedPoint"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_recognize_form_matches_one_scan_of_every_kind(n):
+    # T2Shape is matched only after a Form1B match; one scan matches all four.
+    if n <= 4:
+        tops = enumerate_topologies(n)[0]
+    else:
+        words = {form_word(d, n) for d in descriptors(n, VALID_KINDS)}
+        tops = [Topology(n, w) for w in sorted(words)]
+    for top in tops:
+        assert recognize_form(top).labels == _matching(
+            top, ("Form1A", "Form1B", "Form3", "T2Shape"))
 
 
 def reference_descriptors(n):

@@ -21,7 +21,6 @@ from doorlab.search import (
     load_golden,
     _closure_dfs,
     _raw_scan,
-    _subset_lanes,
 )
 from doorlab.topology import is_topology_bits, occ_satisfied, space_report
 from doorlab.valuations import EC_ZERO, ec, modular_compose
@@ -59,7 +58,8 @@ def test_raw_scan_matches_reference(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subset_lanes_match_per_word_definition(n):
-    has = _subset_lanes(n)
+    # The raw scan's lane of mask s: the supersets of {s} on the 2^n masks.
+    has = [supersets_word(1 << n, 1 << s) for s in range(1 << n)]
     assert len(has) == 1 << n
     for s, lane in enumerate(has):
         assert lane == sum(1 << b for b in range(1 << (1 << n)) if (b >> s) & 1)

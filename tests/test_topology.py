@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 import doorlab.topology
-from doorlab.classify import FormDescriptor, construct_topology
+from doorlab.classify import FormDescriptor, construct_topology, descriptors
 from doorlab.core import (
     SUBSET_ORDER, Family, complement_family, in_subset_order, parse_family, points_of, powerset)
 from doorlab.search import census, enumerate_topologies
@@ -118,6 +118,16 @@ def test_replace_leaves_shared_report_unchanged():
     assert space_report(discrete(3)) is shared and shared.to_json() == fields
 
 
+def test_equal_singletons_share_one_tuple():
+    # Distinct reports with equal open or closed singletons hold one tuple.
+    reports = {space_report(top) for top in enumerate_topologies(4)[0]}
+    first = {}
+    for rep in reports:
+        for points in (rep.open_singletons, rep.closed_singletons):
+            assert first.setdefault(points, points) is points
+    assert len(first) < len(reports)
+
+
 def point_spaces(n):
     """The excluded-point and included-point spaces at every point."""
     return [construct_topology(FormDescriptor(kind, a=p), n)
@@ -229,6 +239,48 @@ def test_occ_matches_per_subset_reference(n):
     # On five points, the 131 door words: the ones the census tests.
     for top in census(5)[1]["door"] if n == 5 else enumerate_topologies(n)[0]:
         assert occ_satisfied(top) == reference_occ_satisfied(top)
+
+
+def pair_loop_occ_satisfied(top):
+    """Every pair of nonempty opens against every pair of nonempty closed
+    sets, each in `SUBSET_ORDER`: the route before the least sets."""
+    n = top.n
+    opens = in_subset_order(n, top.bits & ~1)
+    closeds = in_subset_order(n, complement_family(n, top.bits) & ~1)
+    for ia, a in enumerate(opens):
+        for b in opens[ia + 1:]:
+            if a & b:
+                continue
+            ab = a | b
+            for ic, c in enumerate(closeds):
+                if c & ab:
+                    continue
+                for d in closeds[ic + 1:]:
+                    if d & (ab | c):
+                        continue
+                    return False, (a, b, c, d)
+    return True, None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_occ_matches_pair_loop(n):
+    # Every topology up to five points, the 343 door words on six, and the
+    # point and preimage forms on seven.
+    if n <= 5:
+        tops = enumerate_topologies(n)[0]
+    elif n == 6:
+        tops = census(6)[1]["door"]
+    else:
+        kinds = ("ExcludedPoint", "IncludedPoint", "Form1A", "Form1B", "Form3")
+        tops = [construct_topology(d, n) for d in descriptors(n, kinds)]
+    for top in tops:
+        assert occ_satisfied(top) == pair_loop_occ_satisfied(top)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_occ_holds_on_point_spaces(n):
+    for top in point_spaces(n):
+        assert occ_satisfied(top) == (True, None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
