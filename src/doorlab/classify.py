@@ -189,7 +189,10 @@ def classify_connected_door(top: Topology) -> ClassificationLabel:
 
 def recognize_form(top: Topology) -> ClassificationLabel:
     """All Form1A / Form1B / Form3 / T2Shape descriptors (principal seeds)
-    matching `top`; T2Shape only after a Form1B, whose word it is at {p, q}."""
+    matching `top`.  A T2Shape word is the Form1B word at {p, q}, so its
+    labels are the A holding p and missing q for each Form1B match (p, q)."""
     labels = _matching(top, ("Form1A", "Form1B", "Form3"))
-    t2 = _matching(top, ("T2Shape",)) if any(d.kind == "Form1B" for d in labels) else ()
+    t2 = tuple(FormDescriptor("T2Shape", A=A, p=d.a, q=d.seed)
+               for A in range(1, full_mask(top.n)) for d in labels
+               if d.kind == "Form1B" and (A >> d.a) & 1 and not (A >> d.seed) & 1)
     return ClassificationLabel(labels + t2)

@@ -296,14 +296,13 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
     never appear."""
     values = [ec(-1), ec(0), ec(1)]
     sols = enumerate_solutions(n, values, "eq2", mode)
-    induced: set[int] = set()
     realizers: dict[int, int] = {}
     for f in sols:
         for v in (ec(1), ec(-1)):
             fam = induced_family(f, v)
             if is_topology_bits(n, fam.bits):
-                induced.add(fam.bits)
                 realizers[fam.bits] = realizers.get(fam.bits, 0) + 1
+    induced = realizers.keys()
     expected = form_bits(n, ("Form1A", "Form1B", "Form3"))
     return {
         "n": n,

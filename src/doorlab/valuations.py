@@ -28,7 +28,7 @@ from .classify import FormDescriptor, form_word
 from .core import (
     DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
     points_of, powerset, subsets_word, supersets_word)
-from .topology import TopologyError, space_report, validate_topology
+from .topology import Topology, is_topology_bits, space_report
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,8 @@ def verify_two_valued_additive(f: SetFunction) -> dict:
     pre = Family(f.n, pre_bits)
     is_uf = filters.is_ultrafilter(pre, powerset(f.n))
 
-    fam = Family(f.n, pre_bits | 1)
-    try:
-        top = validate_topology(fam)
-        is_cd = space_report(top).connected_door
-    except TopologyError:
-        is_cd = False
+    bits = pre_bits | 1
+    is_cd = is_topology_bits(f.n, bits) and space_report(Topology(f.n, bits)).connected_door
 
     return {
         "zero_in_values": zero_in_values,

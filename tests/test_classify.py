@@ -145,11 +145,14 @@ def test_labels_match_construct_reference(n):
                 top, ("ExcludedPoint", "IncludedPoint"))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 10])
 def test_recognize_form_matches_one_scan_of_every_kind(n):
-    # T2Shape is matched only after a Form1B match; one scan matches all four.
+    # T2Shape labels are listed from the Form1B pairs; one scan matches all four.
     if n <= 4:
         tops = enumerate_topologies(n)[0]
+    elif n == 10:  # the T2Shape space A = {0}, p = 0, q = 1
+        tops = [construct_topology(FormDescriptor("T2Shape", A=1, p=0, q=1), n)]
+        assert len(recognize_form(tops[0]).labels) == 514
     else:
         words = {form_word(d, n) for d in descriptors(n, VALID_KINDS)}
         tops = [Topology(n, w) for w in sorted(words)]

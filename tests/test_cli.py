@@ -89,6 +89,19 @@ def test_ground_set_below_one_point_is_usage_error(capsys, argv):
     assert "ground set size" in err
 
 
+@pytest.mark.parametrize("verb", ["check", "classify"])
+def test_deeply_nested_family_is_usage_error(verb):
+    """The JSON decoder recurses once per nesting level; a family nested
+    past the recursion limit is refused like any malformed family."""
+    family = "[" * 5000 + "]" * 5000
+    proc = subprocess.run(
+        [sys.executable, "-m", "doorlab.cli", verb, "--n", "2", "--family", family],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: family is nested too deeply\n"
+
+
 def test_classify_form3(capsys):
     code, out, _ = capture(capsys, [
         "classify", "--n", "4", "--family", "[[],[2],[3],[2,3],[0,1,2,3]]"])

@@ -129,6 +129,21 @@ def test_import_runs_no_src_function():
     assert sorted(ran & defs) == []
 
 
+def test_every_src_error_but_claim_falsified_is_a_value_error():
+    """The CLI maps every error to exit 2 by one `except ValueError`, so an
+    error class added to src must subclass ValueError, unless it is
+    `ClaimFalsified`, which exits 1."""
+    errors = {
+        cls.__name__: cls
+        for path in sorted(SRC.glob("*.py"))
+        for cls in vars(importlib.import_module(f"doorlab.{path.stem}")).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+        and cls.__module__ == f"doorlab.{path.stem}"}
+    assert {"ClaimFalsified", "DomainError", "TopologyError"} <= set(errors)
+    assert sorted(name for name, cls in errors.items()
+                  if not issubclass(cls, ValueError)) == ["ClaimFalsified"]
+
+
 def test_form_kinds_agree_across_modules():
     """A form kind is in `VALID_KINDS`, the CLI's form names, the cylinder
     rows of `classify` and the Part 2 table of `valuations` alike, except

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from doorlab import valuations
 from doorlab.classify import (
     VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
 from doorlab.core import DomainError, points_of, powerset
@@ -330,6 +331,13 @@ class TestTwoValuedAdditive:
         assert satisfies_disjoint_additivity(f)[0]
         with pytest.raises(DomainError, match="three points"):
             verify_two_valued_additive(f)
+
+    def test_preimage_that_is_no_topology_fails(self, monkeypatch):
+        singletons = (1 << 0b01) | (1 << 0b10)  # with the empty set, misses {0, 1}
+        monkeypatch.setattr(valuations, "preimage", lambda *args: singletons)
+        rep = verify_two_valued_additive(indicator_fn(3, 0, includes_empty=False))
+        assert rep["induces_connected_door"] is False
+        assert rep["ok"] is False
 
     def test_scaling_invariance(self):
         base = indicator_fn(3, 0, includes_empty=False)
