@@ -186,7 +186,7 @@ def _run_verb(args) -> int:
         elif args.verb == "report":
             doc = compare_with_golden(args.n)
             _emit(doc, args.out)
-            if doc["match"] is False:
+            if not doc["match"]:
                 return 1
 
     except ClaimFalsified as exc:

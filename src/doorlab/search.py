@@ -7,7 +7,6 @@ parameters)."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -29,7 +28,6 @@ from .valuations import (
     ec,
     induced_family,
     int_codes,
-    modular_compose,
 )
 
 
@@ -199,28 +197,16 @@ def enumerate_occ_door(n: int, mode: str = "auto"):
     return lists["occ_door"]
 
 
-def _canonical_solution_order(sols: list[SetFunction]) -> list[SetFunction]:
-    return sorted(
-        sols, key=lambda f: tuple(v.sort_key() for v in f.values))
-
-
-def _brute_solutions(
-    n: int, values: list[ExactComplex], equation: str
-) -> list[SetFunction]:
-    """Depth-first assignment in mask order, pruned at each mask m by
-    f(A) + f(B) = f(m) + f(empty) on the disjoint proper pairs with union m.
-    For eq1 the empty set is left unassigned at 0, so this is disjoint
-    additivity.  For eq2 it is the whole valuation identity: f - f(empty) is
-    then disjoint additive, hence a valuation, and so is f.  The pairs run
-    on the integer codes of `values` (four terms); each solution is built
-    from the original values."""
+def _brute_solutions(n: int, codes: list[int], first: int) -> list[tuple[int, ...]]:
+    """Depth-first assignment in mask order from `first`, pruned at each
+    mask m by f(A) + f(B) = f(m) + f(empty) on the disjoint proper pairs
+    with union m.  With first = 1 the empty set stays at code 0, so this is
+    disjoint additivity; with first = 0 it is the whole valuation identity:
+    f - f(empty) is then disjoint additive, hence a valuation, and so is f."""
     top = 1 << n
-    codes = int_codes(values, 4)
     code_set = set(codes)
-    first = 0 if equation == "eq2" else 1
     assigned = [0] * top
-    chosen: list[ExactComplex] = [EC_ZERO] * top
-    out: list[SetFunction] = []
+    out: list[tuple[int, ...]] = []
 
     def consistent(m: int, cand: int) -> bool:
         a = (m - 1) & m
@@ -234,41 +220,34 @@ def _brute_solutions(
     def dfs(m: int) -> None:
         if m == top:
             if set(assigned[first:]) == code_set:
-                out.append(SetFunction(n, equation == "eq2", tuple(chosen)))
+                out.append(tuple(assigned))
             return
-        for cand, value in zip(codes, values):
+        for cand in codes:
             assigned[m] = cand
-            chosen[m] = value
             if consistent(m, cand):
                 dfs(m + 1)
 
     dfs(first)
-    return _canonical_solution_order(out)
+    return out
 
 
-def _modular_solutions(
-    n: int, values: list[ExactComplex], equation: str
-) -> list[SetFunction]:
+def _modular_solutions(n: int, codes: list[int], first: int) -> list[tuple[int, ...]]:
     """Solutions via the weight parameterization: disjoint-additive
-    solutions are point-weight sums, valuation solutions add a constant.
-    Each candidate is summed and range-tested on the integer codes of
-    `values`, one add per mask, and only the survivors are composed.
-    f(m) - v is an integer combination of the values with coefficients of
-    total size at most 2n, so codes for 2n + 2 terms tell f(m) == v."""
-    codes = int_codes(values, 2 * n + 2)
+    solutions (first = 1) are point-weight sums, valuation solutions
+    (first = 0) add a constant.  Each candidate is summed on the codes, one
+    add per mask, and range-tested against the code set."""
     code_set = set(codes)
-    first = 0 if equation == "eq2" else 1  # eq1 leaves out the empty set
-    out: list[SetFunction] = []
-    # eq2 takes each value as the constant f(empty); eq1 has none.
-    for c, k in zip(values, codes) if first == 0 else [(EC_ZERO, 0)]:
+    out: list[tuple[int, ...]] = []
+    # first = 0 takes each value as the constant f(empty); first = 1 has none.
+    for k in codes if first == 0 else [0]:
         steps = [x - k for x in codes]
-        for picks in product(range(len(values)), repeat=n):
+        for picks in product(steps, repeat=n):
             f = [k]
-            for i in picks:
-                f += [x + steps[i] for x in f]
+            for step in picks:
+                f += [x + step for x in f]
             if set(f[first:]) == code_set:
-                out.append(modular_compose(c, tuple(values[i] - c for i in picks), first == 0))
-    return _canonical_solution_order(out)
+                out.append(tuple(f))
+    return out
 
 
 def enumerate_solutions(
@@ -277,6 +256,15 @@ def enumerate_solutions(
     equation: str = "eq1_disjoint",
     mode: str = "brute",
 ) -> list[SetFunction]:
+    """Every function on the subsets of n points (eq2) or the nonempty ones
+    (eq1_disjoint) onto `values` that solves the equation, found by one
+    route on integer codes.  The codes are for 2n + 2 terms: the brute
+    scan's pairs need 4, and the modular route's f(m) - v, with
+    f(m) = c + sum (v_i - c), has coefficients of total size at most
+    2n + 2.  Each code tuple is decoded through one
+    table, code 0 being the zero value eq1 leaves at the empty set, and the
+    solutions come in ascending order of their value tuples, each value
+    ordered by `ExactComplex.sort_key`."""
     if equation not in ("eq1_disjoint", "eq2"):
         raise CapabilityError(f"unknown equation {equation!r}")
     if len(set(values)) != len(values) or len(values) not in (2, 3):
@@ -284,9 +272,13 @@ def enumerate_solutions(
     if mode not in ("brute", "modular"):
         raise CapabilityError(f"unknown solution mode {mode!r}")
     check_cap(f"{mode} solution scan", n)
-    if mode == "brute":
-        return _brute_solutions(n, values, equation)
-    return _modular_solutions(n, values, equation)
+    codes = int_codes(values, 2 * n + 2)
+    route = _brute_solutions if mode == "brute" else _modular_solutions
+    found = route(n, codes, 0 if equation == "eq2" else 1)
+    decode = {0: EC_ZERO, **dict(zip(codes, values))}
+    rank = {c: i for i, c in enumerate(sorted(decode, key=lambda c: decode[c].sort_key()))}
+    found.sort(key=lambda t: [rank[c] for c in t])
+    return [SetFunction(n, equation == "eq2", tuple(decode[c] for c in t)) for t in found]
 
 
 def induced_topology_survey(n: int, mode: str = "brute") -> dict:
@@ -325,18 +317,11 @@ def counts_report(n: int) -> dict:
     return out
 
 
-def golden_dir() -> Path:
-    env = os.environ.get("DOORLAB_GOLDEN_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "goldens" / "v1"
+GOLDEN_DIR = Path(__file__).parent / "goldens" / "v1"
 
 
-def load_golden(n: int) -> dict | None:
-    path = golden_dir() / f"counts_n{n}.json"
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+def load_golden(n: int) -> dict:
+    return json.loads((GOLDEN_DIR / f"counts_n{n}.json").read_text())
 
 
 def compare_with_golden(n: int) -> dict:
@@ -344,8 +329,6 @@ def compare_with_golden(n: int) -> dict:
     names the first differing key in sorted order."""
     fresh = counts_report(n)
     golden = load_golden(n)
-    if golden is None:
-        return {"n": n, "golden": None, "report": fresh, "match": None}
     mismatch = [k for k in sorted(golden) if fresh.get(k) != golden[k]]
     doc = {"n": n, "golden": golden, "report": fresh, "match": not mismatch}
     return {**doc, "mismatch": mismatch[0]} if mismatch else doc

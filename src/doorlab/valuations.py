@@ -13,7 +13,7 @@ They stay `ExactComplex` at the API and JSON boundary, and every identity
 loop runs on the exact integer codes of `int_codes`.  A scan encodes its
 value set once, with the longest identity it checks: 4 terms for a valuation
 pair, 3 for disjoint additivity, 8 for three-set inclusion-exclusion, and
-2n + 2 for the modular route's range test on n points.
+2n + 2 in `search.enumerate_solutions` on n points, for both solution routes.
 """
 
 from __future__ import annotations
@@ -168,10 +168,11 @@ def int_codes(values, terms: int) -> list[int]:
     is 0 exactly when R = I = 0, that is, exactly when the identity holds on
     the values.  A caller encodes its value set once and states the longest
     identity it checks on the codes: 4 terms for a valuation pair, 3 for
-    disjoint additivity, 8 for three-set inclusion-exclusion, 2n + 2 for the
-    modular range test on n points.  The denominators are read in list
-    passes: hashing `Fraction`s would cost more than the checks the codes
-    speed up.
+    disjoint additivity, 8 for three-set inclusion-exclusion, 2n + 2 for
+    `search.enumerate_solutions` on n points, whose brute scan checks
+    valuation pairs and whose modular route range-tests point-weight sums.
+    The denominators are read in list passes: hashing `Fraction`s would cost
+    more than the checks the codes speed up.
     """
     res = [v.re for v in values]
     ims = [v.im for v in values]

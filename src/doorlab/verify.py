@@ -335,7 +335,7 @@ def verify_infrastructure() -> dict:
     repeat_ok = all(topology_words(n, "raw_scan")[0] == raw[n] for n in (3, 4))
     details["worker_determinism"] = repeat_ok
 
-    golden_ok = all(g["match"] is not False for g in goldens)
+    golden_ok = all(g["match"] for g in goldens)
     details["golden_match"] = golden_ok
 
     ok = (totals == TOPOLOGY_COUNTS and topologies_ok and solutions_ok

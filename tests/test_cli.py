@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import doorlab.search as search
 from doorlab.classify import UnconstructibleError, construct_topology
 from doorlab.cli import _descriptor_from_args, build_parser, run
 from doorlab.core import DomainError
@@ -163,13 +164,21 @@ def test_report_drifted_golden_exits_1(tmp_path, monkeypatch, capsys):
     for n, key, value in ((4, "mode", "closure_dfs"), (3, "total_scanned", 257)):
         path = tmp_path / f"counts_n{n}.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
-    monkeypatch.setenv("DOORLAB_GOLDEN_DIR", str(tmp_path))
+    monkeypatch.setattr(search, "GOLDEN_DIR", tmp_path)
     for n, key in ((4, "mode"), (3, "total_scanned")):
         code, out, _ = capture(capsys, ["report", "--n", str(n)])
         doc = json.loads(out)
         assert (code, doc["match"], doc["mismatch"]) == (1, False, key)
     code, out, _ = capture(capsys, ["report", "--n", "2"])
     assert (code, "mismatch" in json.loads(out)) == (0, False)
+
+
+def test_report_missing_golden_exits_2(tmp_path, monkeypatch, capsys):
+    # A missing golden is an error, not a report without a verdict.
+    monkeypatch.setattr(search, "GOLDEN_DIR", tmp_path)
+    code, out, err = capture(capsys, ["report", "--n", "3"])
+    assert (code, out) == (2, "")
+    assert "counts_n3.json" in err
 
 
 def test_output_determinism_across_runs(capsys):

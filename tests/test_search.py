@@ -23,7 +23,7 @@ from doorlab.search import (
     _raw_scan,
 )
 from doorlab.topology import is_topology_bits, occ_satisfied, space_report
-from doorlab.valuations import EC_ZERO, ec, modular_compose
+from doorlab.valuations import EC_ZERO, ExactComplex, ec, int_codes, modular_compose
 
 
 TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -435,9 +435,25 @@ def test_modular_range_test_base_covers_the_identity(n):
     # would report 24 (n = 4) and 40 (n = 5) functions that are not onto
     # this set.
     values = [ec(2, -2), ec(0, 2), ec(-3, 1)]
-    brute = search._brute_solutions(n, values, "eq2")
+    brute = search._brute_solutions(n, int_codes(values, 2 * n + 2), 0)
     modular = enumerate_solutions(n, values, "eq2", "modular")
     assert brute == modular == reference_modular_solutions(n, values, "eq2") == []
+
+
+def test_solution_routes_do_no_exact_arithmetic(monkeypatch):
+    # Both routes run on integer codes and decode only the survivors, so
+    # neither adds nor subtracts an ExactComplex.
+    expected = {(eq, mode): enumerate_solutions(3, [ec(0), ec(1, 1), ec(2, 2)], eq, mode)
+                for eq in ("eq1_disjoint", "eq2") for mode in ("brute", "modular")}
+
+    def refuse(self, other):
+        raise AssertionError("exact arithmetic in a solution route")
+
+    monkeypatch.setattr(ExactComplex, "__add__", refuse)
+    monkeypatch.setattr(ExactComplex, "__sub__", refuse)
+    for (eq, mode), sols in expected.items():
+        assert sols
+        assert enumerate_solutions(3, [ec(0), ec(1, 1), ec(2, 2)], eq, mode) == sols
 
 
 def test_survey_n3_both_modes():
