@@ -258,11 +258,8 @@ def enumerate_solutions(
 ) -> list[SetFunction]:
     """Every function on the subsets of n points (eq2) or the nonempty ones
     (eq1_disjoint) onto `values` that solves the equation, found by one
-    route on integer codes.  The codes are for 2n + 2 terms: the brute
-    scan's pairs need 4, and the modular route's f(m) - v, with
-    f(m) = c + sum (v_i - c), has coefficients of total size at most
-    2n + 2.  Each code tuple is decoded through one
-    table, code 0 being the zero value eq1 leaves at the empty set, and the
+    route on integer codes.  Each code tuple is decoded through one table,
+    code 0 being the zero value eq1 leaves at the empty set, and the
     solutions come in ascending order of their value tuples, each value
     ordered by `ExactComplex.sort_key`."""
     if equation not in ("eq1_disjoint", "eq2"):
@@ -272,7 +269,7 @@ def enumerate_solutions(
     if mode not in ("brute", "modular"):
         raise CapabilityError(f"unknown solution mode {mode!r}")
     check_cap(f"{mode} solution scan", n)
-    codes = int_codes(values, 2 * n + 2)
+    codes = int_codes(values)
     route = _brute_solutions if mode == "brute" else _modular_solutions
     found = route(n, codes, 0 if equation == "eq2" else 1)
     decode = {0: EC_ZERO, **dict(zip(codes, values))}

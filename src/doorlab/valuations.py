@@ -10,10 +10,8 @@ identity of `extend_by_zero_at_empty(f)` on the pairs with empty meet.
 
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
-loop runs on the exact integer codes of `int_codes`.  A scan encodes its
-value set once, with the longest identity it checks: 4 terms for a valuation
-pair, 3 for disjoint additivity, 8 for three-set inclusion-exclusion, and
-2n + 2 in `search.enumerate_solutions` on n points, for both solution routes.
+loop runs on the exact integer codes of `int_codes`, one base for every
+identity any check forms.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from fractions import Fraction
 from . import filters
 from .classify import FormDescriptor, form_word
 from .core import (
-    DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
+    CAPS, DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
     points_of, powerset, subsets_word, supersets_word)
 from .topology import Topology, is_topology_bits, space_report
 
@@ -155,22 +153,21 @@ class SetFunction:
         }
 
 
-def int_codes(values, terms: int) -> list[int]:
-    """Exact integer codes of a list of `ExactComplex` values, for identities
-    of at most `terms` terms.
+def int_codes(values) -> list[int]:
+    """Exact integer codes of a list of `ExactComplex` values.
 
     With d the lcm of every `re` and `im` denominator, r = re*d and
-    i = im*d are ints, and the code is r + B*i with B = 1 + terms*max|r|
-    (just r when no value has an imaginary part).  The map is additive over
-    the integers.  For an identity sum c_j*v_j = 0 with integer coefficients
-    and sum |c_j| <= terms, the code of the left side is R + B*I with
-    R = sum c_j*r_j and I = sum c_j*i_j, and |R| <= terms*max|r| < B; so it
-    is 0 exactly when R = I = 0, that is, exactly when the identity holds on
-    the values.  A caller encodes its value set once and states the longest
-    identity it checks on the codes: 4 terms for a valuation pair, 3 for
-    disjoint additivity, 8 for three-set inclusion-exclusion, 2n + 2 for
-    `search.enumerate_solutions` on n points, whose brute scan checks
-    valuation pairs and whose modular route range-tests point-weight sums.
+    i = im*d are ints, and the code is r + B*i with B = 1 + T*max|r| and
+    T = 2*CAPS["ground set"] + 2 (just r when no value has an imaginary
+    part).  The map is additive over the integers.  For an identity
+    sum c_j*v_j = 0 with integer coefficients and sum |c_j| <= T, the code
+    of the left side is R + B*I with R = sum c_j*r_j and I = sum c_j*i_j,
+    and |R| <= T*max|r| < B; so it is 0 exactly when R = I = 0, that is,
+    exactly when the identity holds on the values.  T covers the longest
+    identity any check forms, the modular route's f(m) - v on n points with
+    f(m) = c + sum (v_i - c): the point values' coefficients total at most
+    n, c's is 1 - |m| and v's is 1, so at most 2n + 2 terms.  A valuation
+    pair has 4, disjoint additivity 3 and three-set inclusion-exclusion 8.
     The denominators are read in list passes: hashing `Fraction`s would cost
     more than the checks the codes speed up.
     """
@@ -180,7 +177,7 @@ def int_codes(values, terms: int) -> list[int]:
     r = [q.numerator * (d // q.denominator) for q in res]
     if not any(q.numerator for q in ims):
         return r
-    base = 1 + terms * max(map(abs, r))
+    base = 1 + (2 * CAPS["ground set"] + 2) * max(map(abs, r))
     return [x + base * (q.numerator * (d // q.denominator)) for x, q in zip(r, ims)]
 
 
@@ -188,8 +185,7 @@ def valuation_witness(values, members, domain_bits: int = -1) -> tuple[int, int]
     """The first pair A <= B of `members` (ascending) with
     values[A] + values[B] != values[A|B] + values[A&B], skipping pairs whose
     intersection lies outside the family `domain_bits` (-1 holds every set,
-    -2 every nonempty one, 1 the empty set alone); None if none.  On integer
-    codes it needs codes of 4 terms."""
+    -2 every nonempty one, 1 the empty set alone); None if none."""
     for i, a in enumerate(members):
         fa = values[a]
         for b in members[i:]:
@@ -201,25 +197,23 @@ def valuation_witness(values, members, domain_bits: int = -1) -> tuple[int, int]
 
 def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) + f(A&B) over all pairs of the domain.  The
-    witness, if any, is the lexicographically least violating (A, B).  Each
-    pair is a four-term identity, so it is checked on the integer codes."""
+    witness, if any, is the lexicographically least violating (A, B),
+    checked on the integer codes."""
     witness = valuation_witness(
-        int_codes(f.values, 4), f.domain(), -1 if f.includes_empty else -2)
+        int_codes(f.values), f.domain(), -1 if f.includes_empty else -2)
     return witness is None, witness
 
 
 def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) for disjoint nonempty A, B: the valuation
-    identity of the zero extension on the pairs with empty meet, whose f(A&B)
-    term is 0, so on codes of three terms.  f must leave out the empty set."""
+    identity of the zero extension on the pairs with empty meet, on the
+    integer codes.  f must leave out the empty set."""
     witness = valuation_witness(
-        int_codes(extend_by_zero_at_empty(f).values, 3), range(1, 1 << f.n), 1)
+        int_codes(extend_by_zero_at_empty(f).values), range(1, 1 << f.n), 1)
     return witness is None, witness
 
 
-def modular_compose(
-    c: ExactComplex, weights: tuple[ExactComplex, ...], includes_empty: bool = True
-) -> SetFunction:
+def modular_compose(c: ExactComplex, weights: tuple[ExactComplex, ...]) -> SetFunction:
     """f(A) = c + the weights of the points of A, on n = len(weights)
     points: f(m) = f(m minus its lowest point) + the weight of that point,
     one exact add per mask."""
@@ -227,7 +221,7 @@ def modular_compose(
     vals = [c] * (1 << n)
     for m in range(1, 1 << n):
         vals[m] = vals[m & (m - 1)] + weights[(m & -m).bit_length() - 1]
-    return SetFunction(n, includes_empty, tuple(vals))
+    return SetFunction(n, True, tuple(vals))
 
 
 def preimage(values, members, v) -> int:
@@ -358,8 +352,8 @@ def form1a_pair_subcase(a: int, seed: int, A: int, B: int) -> int:
 
 def check_inclusion_exclusion3(n: int, codes) -> bool:
     """The three-set inclusion-exclusion identity over all triples, on the
-    integer codes (of at least 8 terms) of a set function on the full power
-    set of n points, indexed by mask."""
+    integer codes of a set function on the full power set of n points,
+    indexed by mask."""
     top = 1 << n
     for a in range(top):
         for b in range(a, top):

@@ -392,7 +392,7 @@ def test_construct_ground_set_checked_first(n):
 @pytest.mark.parametrize("n", ["7", "8", "10"])
 def test_construct_past_the_enumeration_caps_round_trips(n):
     # construct, check and classify take every n up to the ground set
-    # bound.  check at n = 10 is left out: its OCC scan takes seconds.
+    # bound.
     def doorlab(*argv):
         proc = subprocess.run([sys.executable, "-m", "doorlab.cli", *argv],
                               env=src_env(), capture_output=True, text=True, timeout=30)
@@ -403,10 +403,9 @@ def test_construct_past_the_enumeration_caps_round_trips(n):
     family = json.dumps(top["opens"])
     doc = doorlab("classify", "--n", n, "--family", family)
     assert doc["connected_door"]["labels"] == [{"kind": "ExcludedPoint", "a": 0}]
-    if n != "10":
-        doc = doorlab("check", "--n", n, "--family", family)
-        assert doc["topology"] == top
-        assert (doc["report"]["connected_door"], doc["occ"], doc["lemma1"]) == (True,) * 3
+    doc = doorlab("check", "--n", n, "--family", family)
+    assert doc["topology"] == top
+    assert (doc["report"]["connected_door"], doc["occ"], doc["lemma1"]) == (True,) * 3
 
 
 def test_construct_t2_takes_A_from_p_up_to_the_ground_set_bound(capsys):

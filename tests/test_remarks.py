@@ -20,7 +20,7 @@ def reference_ie_scan():
     for assignment in product([ec(-1), ec(0), ec(1)], repeat=8):
         f = SetFunction(3, True, assignment)
         scanned += 1
-        if satisfies_valuation(f)[0] != check_inclusion_exclusion3(3, int_codes(f.values, 8)):
+        if satisfies_valuation(f)[0] != check_inclusion_exclusion3(3, int_codes(f.values)):
             agree = False
     return scanned, agree
 

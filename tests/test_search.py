@@ -23,7 +23,8 @@ from doorlab.search import (
     _raw_scan,
 )
 from doorlab.topology import is_topology_bits, occ_satisfied, space_report
-from doorlab.valuations import EC_ZERO, ExactComplex, ec, int_codes, modular_compose
+from doorlab.valuations import (
+    EC_ZERO, ExactComplex, SetFunction, ec, int_codes, modular_compose)
 
 
 TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -406,7 +407,7 @@ def reference_modular_solutions(n, values, equation):
     out = []
     for c, choices, includes_empty in cases:
         for weights in product(choices, repeat=n):
-            f = modular_compose(c, weights, includes_empty)
+            f = SetFunction(n, includes_empty, modular_compose(c, weights).values)
             if {f.values[m] for m in f.domain()} == set(values):
                 out.append(f)
     return sorted(out, key=lambda f: tuple(v.sort_key() for v in f.values))
@@ -428,14 +429,14 @@ def test_modular_route_matches_reference(values, equation):
         assert [f.to_json() for f in modular] == [f.to_json() for f in reference]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_modular_range_test_base_covers_the_identity(n):
     # f(m) - v has coefficients of total size up to 2n: with B = 1 + max|r|
     # a real part carries into the imaginary part, and the modular route
     # would report 24 (n = 4) and 40 (n = 5) functions that are not onto
     # this set.
     values = [ec(2, -2), ec(0, 2), ec(-3, 1)]
-    brute = search._brute_solutions(n, int_codes(values, 2 * n + 2), 0)
+    brute = search._brute_solutions(n, int_codes(values), 0)
     modular = enumerate_solutions(n, values, "eq2", "modular")
     assert brute == modular == reference_modular_solutions(n, values, "eq2") == []
 

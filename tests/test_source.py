@@ -53,28 +53,78 @@ def test_no_unused_imports_in_src():
 NO_SRC_CALLER_YET: set[str] = set()
 
 
+def src_trees_and_exports():
+    """The parsed src modules, and the names their __all__ lists export."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    exported = set()
+    for tree in trees:
+        for node in tree.body:
+            targets = getattr(node, "targets", [])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported |= set(ast.literal_eval(node.value))
+    return trees, exported
+
+
+def public_defs(trees):
+    """The public top-level functions and public methods of top-level
+    classes, each with whether it is a method."""
+    out = []
+    for tree in trees:
+        for node in tree.body:
+            items = node.body if isinstance(node, ast.ClassDef) else [node]
+            out += [(item, item is not node) for item in items
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
 def test_public_src_functions_have_src_callers():
     """A public top-level function, or a public method of a top-level
     class, is named somewhere else in src or is exported by an __all__: API
     that only tests use belongs in the tests."""
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
-    named, exported = set(), set()
+    trees, exported = src_trees_and_exports()
+    named = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-        for node in tree.body:
-            targets = getattr(node, "targets", [])
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                exported |= set(ast.literal_eval(node.value))
-    defs = [node for tree in trees for node in tree.body]
-    defs += [item for node in defs if isinstance(node, ast.ClassDef) for item in node.body]
     found = sorted(
-        node.name for node in defs
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and node.name not in named | exported | NO_SRC_CALLER_YET)
+        node.name for node, _ in public_defs(trees)
+        if node.name not in named | exported | NO_SRC_CALLER_YET)
+    assert found == []
+
+
+def test_src_calls_pass_every_default_of_a_public_src_function():
+    """Each defaulted parameter of a public src function, exported ones
+    aside, is passed by some src call, positionally or by keyword: a knob
+    that src always leaves at its default is a constant, and belongs in the
+    function body."""
+    trees, exported = src_trees_and_exports()
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for node, is_method in public_defs(trees):
+        if node.name in exported:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i - is_method, a.arg)
+                     for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for index, arg in defaulted:
+            if not any(
+                    any(k.arg in (arg, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls.get(node.name, [])):
+                found.append(f"{node.name}.{arg}")
     assert found == []
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from doorlab import valuations
 from doorlab.classify import (
     VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
-from doorlab.core import DomainError, points_of, powerset
+from doorlab.core import CAPS, DomainError, points_of, powerset
 from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.search import enumerate_solutions
 from doorlab.valuations import (
@@ -158,7 +158,7 @@ def reference_inclusion_exclusion3(f):
 
 def ie3(f):
     """`check_inclusion_exclusion3` on the codes of f's values."""
-    return check_inclusion_exclusion3(f.n, int_codes(f.values, 8))
+    return check_inclusion_exclusion3(f.n, int_codes(f.values))
 
 
 SMALL_INTS = st.sampled_from([ec(-1), ec(0), ec(1)])
@@ -177,8 +177,8 @@ def near_modular_functions(draw, values=SMALL_INTS, includes_empty=st.booleans()
     both valuations and witnesses anywhere in the pair order occur."""
     n = draw(st.integers(1, 3))
     c = draw(values if constant is None else constant)
-    f = modular_compose(
-        c, tuple(draw(values) for _ in range(n)), includes_empty=draw(includes_empty))
+    f = modular_compose(c, tuple(draw(values) for _ in range(n)))
+    f = SetFunction(n, draw(includes_empty), f.values)
     if draw(st.booleans()):
         vals = list(f.values)
         vals[draw(st.integers(0, (1 << n) - 1))] = draw(values)
@@ -539,7 +539,7 @@ class TestIntCodes:
         assert satisfies_disjoint_additivity(SetFunction(2, False, naive.values))[0]
         assert ie3(naive)
 
-        assert int_codes(values, 8) == [0, 1, 0, 9]
+        assert int_codes(values) == [0, 1, 0, 23]
         f = SetFunction(2, True, values)
         assert satisfies_valuation(f) == (False, (0b01, 0b10))
         assert satisfies_disjoint_additivity(
@@ -547,14 +547,31 @@ class TestIntCodes:
         assert not ie3(f)
 
     def test_common_denominator(self):
-        assert int_codes([ec("1/2"), ec("-1/3"), ec(2)], 8) == [3, -2, 12]
-        assert int_codes([ec("1/2", "1/3"), EC_ZERO], 8) == [3 + 25 * 2, 0]
+        assert int_codes([ec("1/2"), ec("-1/3"), ec(2)]) == [3, -2, 12]
+        assert int_codes([ec("1/2", "1/3"), EC_ZERO]) == [3 + 67 * 2, 0]
+        assert int_codes([ec(2, -2), ec(0, 2), ec(-3, 1)]) == [2 - 134, 134, -3 + 67]
 
     def test_base_covers_the_stated_identity_length(self):
-        # B = 1 + terms * max|r|: the real part of an identity of that many
-        # unit terms stays below B, so it cannot carry into the imaginary part.
-        assert int_codes([ec("1/2", "1/3"), EC_ZERO], 4) == [3 + 13 * 2, 0]
-        assert int_codes([ec(2, -2), ec(0, 2), ec(-3, 1)], 10) == [2 - 62, 62, -3 + 31]
+        # 21*1 - (-1 + i) = 22 - i != 0 has 2 * CAPS["ground set"] + 2 = 22
+        # terms.  Its real part 22 would carry into the imaginary part with
+        # B = 1 + 21*1, whose codes 1 and 21 sum to 0; with B = 1 + 22*1
+        # they sum to -1.
+        codes = int_codes([ec(1), ec(-1, 1)])
+        assert codes == [1, 22]
+        assert 21 * codes[0] - codes[1] == -1
+
+    @given(st.lists(GAUSSIAN_RATIONALS, min_size=2, max_size=3, unique=True), st.data())
+    def test_coded_sum_is_zero_exactly_when_the_sum_is(self, values, data):
+        # Any integer coefficients of total size up to the longest identity
+        # a check forms, 2 * CAPS["ground set"] + 2 terms.
+        budget = 2 * CAPS["ground set"] + 2
+        coeffs = []
+        for _ in values:
+            coeffs.append(data.draw(st.integers(-budget, budget)))
+            budget -= abs(coeffs[-1])
+        total = sum((scale(v, c) for c, v in zip(coeffs, values)), EC_ZERO)
+        coded = sum(c * x for c, x in zip(coeffs, int_codes(values)))
+        assert (coded == 0) == total.is_zero
 
 
 class TestIncreasing:
