@@ -80,7 +80,10 @@ def complement_family(n: int, bits: int) -> int:
 def subsets_word(s: int) -> int:
     """The family word of every subset of mask s.  It starts from {empty
     set}; each bit b of s doubles it by w |= w << b, since m + b = m | b
-    for every m without b."""
+    for every m without b.  The order fact: disjoint nonzero masks
+    d_0 < ... < d_{k-1} are superincreasing (the top bit of d_i lies above
+    every bit of the smaller ones), so `points_of` lists the word of their
+    subset sums with the sum over J at position sum(2^i for i in J)."""
     w = 1
     while s:
         lsb = s & -s
@@ -188,31 +191,12 @@ def powerset(n: int) -> Family:
     return Family(n, (1 << (1 << n)) - 1)
 
 
-def compress_mask(subset: int, within: int) -> int:
-    """Re-index subset (a submask of `within`) onto the points of `within`,
-    renumbered in increasing order."""
-    out = 0
-    i = 0
-    m = within
-    while m:
-        lsb = m & -m
-        if subset & lsb:
-            out |= 1 << i
-        i += 1
-        m ^= lsb
-    return out
-
-
 def restrict_family(fam: Family, a: int) -> Family:
-    """F|_A = {F in fam : F subset of A}, re-indexed onto the points of A."""
+    """F|_A = {F in fam : F subset of A}, re-indexed onto the points of A:
+    local mask i is the i-th subset of A (the order fact, `subsets_word`)."""
     if not 0 <= a <= full_mask(fam.n):
         raise DomainError(f"subset mask {a} out of range for n={fam.n}")
-    k = a.bit_count()
-    if k == 0:
-        # F|_emptyset lives on an empty ground set; represent on n=1 is wrong,
-        # so reject: the paper only restricts to nonempty subsets.
+    if not a:  # the paper restricts only to nonempty subsets
         raise DomainError("cannot restrict onto the empty set")
-    bits = 0
-    for m in points_of(fam.bits & subsets_word(a)):
-        bits |= 1 << compress_mask(m, a)
-    return Family(k, bits)
+    local = points_of(subsets_word(a))
+    return Family(a.bit_count(), sum(1 << i for i, m in enumerate(local) if fam.bits >> m & 1))

@@ -381,15 +381,11 @@ def increasing_filter_check(f: SetFunction) -> dict:
     report["is_valuation"] = ok_val
     if increasing and ok_val:
         bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
-        pre = points_of(bits)
-        # Intersection- and upward-closure only: a constant function's
-        # preimage is the whole power set, the improper filter, and the
-        # monotone-preimage fact holds in that generality.  An upward-closed
-        # family holds every union, so the lattice check tests intersections.
-        upward_closed = not any(supersets_word(f.n, u) & ~bits for u in pre)
-        report["preimage_is_filter"] = (
-            bool(pre) and upward_closed and lattice_witness(bits) is None)
-        report["preimage_is_proper"] = 0 not in pre
+        pw = powerset(f.n)
+        # A constant function's preimage is pw, the improper filter; the
+        # monotone-preimage fact holds in that generality.
+        report["preimage_is_filter"] = bits == pw.bits or filters.is_filter(Family(f.n, bits), pw)
+        report["preimage_is_proper"] = not bits & 1
         report["ok"] = report["preimage_is_filter"]
     else:
         report["ok"] = True  # hypothesis not met; nothing to assert

@@ -11,7 +11,7 @@ from itertools import product
 from . import filters
 from .classify import (
     VALID_KINDS, classify_connected_door, construct_topology, descriptors, form_bits)
-from .core import Family, full_mask, powerset
+from .core import Family, full_mask, points_of, powerset
 from .search import (
     census,
     compare_with_golden,
@@ -213,15 +213,12 @@ def verify_part2() -> dict:
 
 def two_valued_valuations(sigma: Family) -> list[dict[int, int]]:
     """The functions from the algebra sigma onto {0, 1} that are valuations,
-    as plain ints keyed by the members of sigma.  sigma is the power set of
-    its atoms, so these are the modular route's valuations onto {0, 1} on one
-    point per atom (constant plus weights, Birkhoff), read at atom unions."""
-    atoms = filters.atoms_of_algebra(sigma)
-    unions = [0]  # unions[j]: the union of the atoms atoms[i] for the bits i of j
-    for a in atoms:
-        unions += [u | a for u in unions]
-    return [{u: int(v.re) for u, v in zip(unions, f.values)}
-            for f in enumerate_solutions(len(atoms), [ec(0), ec(1)], "eq2", "modular")]
+    as plain ints keyed by the members of sigma.  sigma is the power set of its
+    k atoms, so these are the modular route's valuations onto {0, 1} on k points
+    (Birkhoff), read at `points_of(sigma.bits)` (order fact: `core.subsets_word`)."""
+    members = points_of(sigma.bits)
+    sols = enumerate_solutions(len(members).bit_length() - 1, [ec(0), ec(1)], "eq2", "modular")
+    return [{u: int(v.re) for u, v in zip(members, f.values)} for f in sols]
 
 
 def verify_relative() -> dict:

@@ -7,7 +7,6 @@ from doorlab.core import (
     DomainError,
     Family,
     complement_family,
-    compress_mask,
     full_mask,
     lattice_witness,
     mask_from_points,
@@ -181,17 +180,77 @@ def test_subsets_sorted_by_cardinality_then_lex():
     assert fam.to_subsets() == [[], [0], [2], [0, 1], [1, 2]]
 
 
+def reference_compress_mask(subset, within):
+    """The bit-by-bit re-indexing `core.compress_mask` used to be: subset (a
+    submask of `within`) onto the points of `within`, renumbered in
+    increasing order."""
+    out = 0
+    i = 0
+    m = within
+    while m:
+        lsb = m & -m
+        if subset & lsb:
+            out |= 1 << i
+        i += 1
+        m ^= lsb
+    return out
+
+
+def reference_restrict_family(fam, a):
+    """`restrict_family` through the reference re-indexing."""
+    bits = 0
+    for m in points_of(fam.bits & subsets_word(a)):
+        bits |= 1 << reference_compress_mask(m, a)
+    return Family(a.bit_count(), bits)
+
+
+def restrict_cases():
+    """Every family and every nonempty A for n <= 3; above that, 300 seeded
+    random (family, A) pairs for each n up to 10."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            for a in range(1, 1 << n):
+                yield Family(n, bits), a
+    for n in range(4, 11):
+        rng = random.Random(n)
+        for _ in range(300):
+            yield Family(n, rng.getrandbits(1 << n)), rng.randrange(1, 1 << n)
+
+
+def test_restrict_family_matches_compress_reference():
+    for fam, a in restrict_cases():
+        assert restrict_family(fam, a) == reference_restrict_family(fam, a)
+
+
 def expand_mask(local, within):
-    """Inverse of compress_mask: bit i of local goes to the i-th point of
-    within."""
+    """Inverse of the re-indexing onto within: bit i of local goes to the
+    i-th point of within."""
     points = points_of(within)
     return sum(1 << points[i] for i in range(len(points)) if (local >> i) & 1)
 
 
 def test_compress_expand_inverse():
+    # Restricting the one-member family {expand_mask(local)} onto within
+    # re-indexes that member to local.
     within = 0b10110
     for local in range(1 << 3):
-        assert compress_mask(expand_mask(local, within), within) == local
+        fam = family_of(5, [expand_mask(local, within)])
+        assert restrict_family(fam, within).bits == 1 << local
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=12))
+def test_order_fact_subset_sums_in_binary_order(labels):
+    # Point p joins block labels[p]; label 0 leaves it out.  The nonzero
+    # blocks are disjoint nonzero masks, and their subset sums, sorted, are
+    # the sums over the index sets read in binary order.
+    blocks = sorted({sum(1 << p for p, x in enumerate(labels) if x == b)
+                     for b in set(labels) - {0}})
+    sums = [sum(d for i, d in enumerate(blocks) if (j >> i) & 1) for j in range(1 << len(blocks))]
+    assert sorted(sums) == sums
+    word = 1
+    for d in blocks:
+        word |= word << d
+    assert points_of(word) == sums
 
 
 def test_mask_points_roundtrip():

@@ -1,13 +1,16 @@
 """Sections S1-S3 by three routes: the weight route of
 `verify.two_valued_valuations`, the scan of every proper nonempty subfamily
-of the algebra (the reference route), and the closed count."""
+of the algebra (the reference route), and the closed count.  The weight
+route's reading at hand-built atom unions is kept as a reference too."""
 
 import pytest
 
 from doorlab import verify
 from doorlab.core import full_mask, points_of
-from doorlab.filters import algebra_from_partition, enumerate_ultrafilters, partitions_of
-from doorlab.valuations import preimage, valuation_on_algebra
+from doorlab.filters import (
+    algebra_from_partition, atoms_of_algebra, enumerate_ultrafilters, partitions_of)
+from doorlab.search import enumerate_solutions
+from doorlab.valuations import ec, preimage, valuation_on_algebra
 
 
 def scan_two_valued_valuations(sigma):
@@ -23,6 +26,18 @@ def scan_two_valued_valuations(sigma):
         if valuation_on_algebra(values, sigma):
             found.append(values)
     return found, scanned
+
+
+def union_list_two_valued_valuations(sigma):
+    """The weight route as it read its solutions before: at a list of atom
+    unions doubled atom by atom, unions[j] the union of the atoms i for the
+    bits i of j."""
+    atoms = atoms_of_algebra(sigma)
+    unions = [0]
+    for a in atoms:
+        unions += [u | a for u in unions]
+    return [{u: int(v.re) for u, v in zip(unions, f.values)}
+            for f in enumerate_solutions(len(atoms), [ec(0), ec(1)], "eq2", "modular")]
 
 
 def algebras(n):
@@ -65,6 +80,15 @@ def test_weight_route_matches_subfamily_scan(n, pairs, scanned):
     assert len(weight) == 2 * len(set(top_preimage_pairs(weight))) == pairs
     # Over n = 2, 3 and 4 the scan checks 67,472 subfamilies.
     assert sum(count for _, _, count in scans) == scanned
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_weight_route_reads_members_in_atom_union_order(n):
+    # Dict order included: points_of lists the members of sigma in the
+    # binary order of their atom sets.
+    for sigma in algebras(n):
+        assert ([list(values.items()) for values in verify.two_valued_valuations(sigma)]
+                == [list(values.items()) for values in union_list_two_valued_valuations(sigma)])
 
 
 @pytest.mark.parametrize("n, count", [(2, 6), (3, 20), (4, 74), (5, 302), (6, 1348)])
