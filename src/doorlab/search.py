@@ -105,14 +105,19 @@ def _closure_dfs(n: int, door_traces: bool = False) -> tuple[list[int], int]:
         sup = [supersets_word(k, m) << shift for m in range(shift)]
         for t in words:
             opens, high = points_of(t), t << shift
-            # U_x is the least member holding x, so also the numerically least.
-            mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
+            # U_x is the numerically least member holding x; caps[s] is the meet of U_x, x in s.
+            mins, covered = [0] * k, 0
+            for m in opens:
+                for x in points_of(m & ~covered):
+                    mins[x] = m
+                if (covered := covered | m) == full:
+                    break
+            caps = [full]
+            for x in range(k):
+                caps += [c & mins[x] for c in caps]
             build = not last or t | complement_family(k, t) == every
             for u in opens:
-                cap = full
-                for x in range(k):
-                    if not (u >> x) & 1:
-                        cap &= mins[x]
+                cap = caps[full & ~u]
                 if build:
                     low = t & sub[u]
                     nxt += [low | (high & sup[a]) for a in opens if not a & ~cap]

@@ -20,6 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 
 from . import filters
 from .classify import FormDescriptor, form_word
@@ -171,27 +173,33 @@ def int_codes(values) -> list[int]:
     The denominators are read in list passes: hashing `Fraction`s would cost
     more than the checks the codes speed up.
     """
-    res = [v.re for v in values]
-    ims = [v.im for v in values]
-    d = math.lcm(*[q.denominator for q in res], *[q.denominator for q in ims])
-    r = [q.numerator * (d // q.denominator) for q in res]
-    if not any(q.numerator for q in ims):
+    res = [v.re.as_integer_ratio() for v in values]
+    ims = [v.im.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in res], *[q for _, q in ims])
+    r = [p * (d // q) for p, q in res]
+    if not any(p for p, _ in ims):
         return r
     base = 1 + (2 * CAPS["ground set"] + 2) * max(map(abs, r))
-    return [x + base * (q.numerator * (d // q.denominator)) for x, q in zip(r, ims)]
+    return [x + base * (p * (d // q)) for x, (p, q) in zip(r, ims)]
 
 
-def valuation_witness(values, members, domain_bits: int = -1) -> tuple[int, int] | None:
-    """The first pair A <= B of `members` (ascending) with
-    values[A] + values[B] != values[A|B] + values[A&B], skipping pairs whose
-    intersection lies outside the family `domain_bits` (-1 holds every set,
-    -2 every nonempty one, 1 the empty set alone); None if none."""
-    for i, a in enumerate(members):
-        fa = values[a]
-        for b in members[i:]:
-            m = a & b
-            if (domain_bits >> m) & 1 and fa + values[b] != values[a | b] + values[m]:
-                return a, b
+@cache
+def _pair_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(a, b, a|b, a&b) for the masks a < b on n points with a not within b,
+    ascending, (4^n - 2*3^n + 2^n)/2 rows: a within b reads f(a) + f(b) = f(b) + f(a)."""
+    return tuple((a, b, a | b, a & b) for a, b in combinations(range(1 << n), 2) if a & ~b)
+
+
+def valuation_witness(values, n: int, meets: int = -1,
+                      members: int = -1) -> tuple[int, int] | None:
+    """The first pair A <= B (ascending) of the family `members` with A&B in
+    `meets` (-1 holds every set, -2 every nonempty one, 1 the empty set alone)
+    and values[A] + values[B] != values[A|B] + values[A&B], values read at every
+    mask; None if none.  Only a pair of `_pair_rows(n)` can be one."""
+    for a, b, j, m in _pair_rows(n):
+        if (values[a] + values[b] != values[j] + values[m]
+                and (members >> a) & (members >> b) & (meets >> m) & 1):
+            return a, b
     return None
 
 
@@ -199,8 +207,7 @@ def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     """f(A) + f(B) = f(A|B) + f(A&B) over all pairs of the domain.  The
     witness, if any, is the lexicographically least violating (A, B),
     checked on the integer codes."""
-    witness = valuation_witness(
-        int_codes(f.values), f.domain(), -1 if f.includes_empty else -2)
+    witness = valuation_witness(int_codes(f.values), f.n, -1 if f.includes_empty else -2)
     return witness is None, witness
 
 
@@ -208,8 +215,7 @@ def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int]
     """f(A) + f(B) = f(A|B) for disjoint nonempty A, B: the valuation
     identity of the zero extension on the pairs with empty meet, on the
     integer codes.  f must leave out the empty set."""
-    witness = valuation_witness(
-        int_codes(extend_by_zero_at_empty(f).values), range(1, 1 << f.n), 1)
+    witness = valuation_witness(int_codes(extend_by_zero_at_empty(f).values), f.n, 1)
     return witness is None, witness
 
 
@@ -230,8 +236,9 @@ def preimage(values, members, v) -> int:
 
 
 def induced_family(f: SetFunction, v: ExactComplex) -> Family:
-    """{empty, X} together with the preimage of v."""
-    return Family(f.n, 1 | (1 << full_mask(f.n)) | preimage(f.values, f.domain(), v))
+    """{empty, X} together with the preimage of v, read on the integer codes."""
+    *codes, code = int_codes((*f.values, v))
+    return Family(f.n, 1 | (1 << full_mask(f.n)) | preimage(codes, f.domain(), code))
 
 
 def extend_by_zero_at_empty(f: SetFunction) -> SetFunction:
@@ -350,20 +357,27 @@ def form1a_pair_subcase(a: int, seed: int, A: int, B: int) -> int:
     return _SUBCASE_INDEX[frozenset((_code(A, (seed, a)), _code(B, (seed, a))))]
 
 
+@cache
+def _ie3_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """(a|b|c, a&b, b&c, a&c, a, b, c, a&b&c) for the first triple a <= b <= c
+    of each formally distinct, nonzero three-set inclusion-exclusion identity
+    on n points (11 on three, 119 on four); the others cancel or repeat one."""
+    rows = {}
+    for a, b, c in combinations_with_replacement(range(1 << n), 3):
+        row = (a | b | c, a & b, b & c, a & c, a, b, c, a & b & c)
+        # The key holds the identity's coefficient of mask m, in [-4, 4], as digit m in base 16.
+        rows.setdefault(sum(1 << 4 * m for m in row[:4]) - sum(1 << 4 * m for m in row[4:]), row)
+    rows.pop(0, None)
+    return tuple(rows.values())
+
+
 def check_inclusion_exclusion3(n: int, codes) -> bool:
-    """The three-set inclusion-exclusion identity over all triples, on the
-    integer codes of a set function on the full power set of n points,
-    indexed by mask."""
-    top = 1 << n
-    for a in range(top):
-        for b in range(a, top):
-            for c in range(b, top):
-                lhs = codes[a | b | c]
-                rhs = (codes[a] + codes[b] + codes[c]
-                       - codes[a & b] - codes[b & c] - codes[a & c]
-                       + codes[a & b & c])
-                if lhs != rhs:
-                    return False
+    """Three-set inclusion-exclusion for every triple, on the integer codes (by
+    mask) of a function on the power set of n points: once per `_ie3_rows(n)` row."""
+    for u, ab, bc, ac, a, b, c, abc in _ie3_rows(n):
+        if codes[u] + codes[ab] + codes[bc] + codes[ac] != (
+                codes[a] + codes[b] + codes[c] + codes[abc]):
+            return False
     return True
 
 
@@ -423,4 +437,5 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
 
 
 def valuation_on_algebra(values: dict[int, ExactComplex | int], sigma: Family) -> bool:
-    return valuation_witness(values, points_of(sigma.bits), sigma.bits) is None
+    at = [values.get(m, values[0]) for m in range(1 << sigma.n)]  # f(empty) outside sigma
+    return valuation_witness(at, sigma.n, sigma.bits, sigma.bits) is None

@@ -267,7 +267,7 @@ def verify_remarks() -> dict:
     # Both identities run on the codes of {-1, 0, 1}, encoded once.
     for codes in product(int_codes([ec(-1), ec(0), ec(1)]), repeat=1 << n):
         scanned += 1
-        is_valuation = valuation_witness(codes, range(1 << n)) is None
+        is_valuation = valuation_witness(codes, n) is None
         if is_valuation != check_inclusion_exclusion3(n, codes):
             ie_ok = False
     inc_ok = True

@@ -8,7 +8,9 @@ import doorlab.search as search
 import doorlab.verify as verify
 from doorlab.classify import ClassificationLabel, FormDescriptor
 from doorlab.cli import run
-from doorlab.core import CAPS, ClaimFalsified, DomainError, subsets_word, supersets_word
+from doorlab.core import (
+    CAPS, ClaimFalsified, DomainError, complement_family, points_of, subsets_word,
+    supersets_word)
 from doorlab.search import (
     CapabilityError,
     census,
@@ -22,7 +24,7 @@ from doorlab.search import (
     _closure_dfs,
     _raw_scan,
 )
-from doorlab.topology import is_topology_bits, occ_satisfied, space_report
+from doorlab.topology import Topology, is_topology_bits, occ_satisfied, space_report
 from doorlab.valuations import (
     EC_ZERO, ExactComplex, SetFunction, ec, int_codes, modular_compose)
 
@@ -178,6 +180,53 @@ def test_closure_dfs_matches_reference_dfs(n):
     ref_words, ref_visited = reference_closure_dfs(n)
     assert sorted(words) == sorted(ref_words)
     assert visited == ref_visited
+
+
+def reference_extension(n, door_traces=False):
+    """The one-point extension as `_closure_dfs` ran it before its caps
+    table: each U_x read by its own scan of the opens, and the cap of each
+    open u the meet of the U_x for the x outside u, point by point."""
+    words, skipped = [3], 0
+    for k in range(1, n):
+        full, shift, nxt = (1 << k) - 1, 1 << k, []
+        every, last = (1 << shift) - 1, door_traces and k == n - 1
+        sub = [subsets_word(m) for m in range(shift)]
+        sup = [supersets_word(k, m) << shift for m in range(shift)]
+        for t in words:
+            opens, high = points_of(t), t << shift
+            mins = [next(m for m in opens if (m >> x) & 1) for x in range(k)]
+            build = not last or t | complement_family(k, t) == every
+            for u in opens:
+                cap = full
+                for x in range(k):
+                    if not (u >> x) & 1:
+                        cap &= mins[x]
+                if build:
+                    low = t & sub[u]
+                    nxt += [low | (high & sup[a]) for a in opens if not a & ~cap]
+                else:
+                    skipped += (t & sub[cap]).bit_count()
+        words = nxt
+    return words, len(words) + skipped
+
+
+@pytest.mark.parametrize("door_traces", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closure_dfs_matches_per_open_cap_loop(n, door_traces):
+    # Same words in the same order, and the same count.
+    assert _closure_dfs(n, door_traces) == reference_extension(n, door_traces)
+
+
+@pytest.mark.optin
+def test_extension_census_at_seven_points():
+    # OEIS A000798 at n = 7; the children of door traces hold every door
+    # word, n*2^n - n^2 - n + 1 of them, and 2n are connected door.
+    words, visited = _closure_dfs(7, door_traces=True)
+    assert visited == 9535241
+    every = (1 << (1 << 7)) - 1
+    door = [w for w in words if w | complement_family(7, w) == every]
+    assert len(door) == 7 * 2 ** 7 - 7 ** 2 - 7 + 1 == 841
+    assert sum(space_report(Topology(7, w)).connected_door for w in door) == 14
 
 
 def test_closure_dfs_counts_through_six_points():

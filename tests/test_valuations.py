@@ -1,11 +1,13 @@
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doorlab import valuations
+from doorlab import valuations, verify
 from doorlab.classify import (
     VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
 from doorlab.core import CAPS, DomainError, points_of, powerset
@@ -27,9 +29,11 @@ from doorlab.valuations import (
     lemma_two_valued_report,
     modular_compose,
     parse_value,
+    preimage,
     satisfies_disjoint_additivity,
     satisfies_valuation,
     valuation_on_algebra,
+    valuation_witness,
     verify_two_valued_additive,
 )
 
@@ -723,3 +727,175 @@ def test_brute_solutions_match_reference_scan(equation, values):
     for n in (1, 2, 3):
         assert (enumerate_solutions(n, vals, equation, "brute")
                 == reference_brute_solutions(n, vals, equation))
+
+
+# The row tables and the loops they replaced.  `valuation_witness` walks
+# `_pair_rows(n)` and `check_inclusion_exclusion3` walks `_ie3_rows(n)`;
+# the member-pair loop and the triple loop below are the routes before them.
+
+def reference_valuation_witness(values, members, domain_bits=-1):
+    """The first pair A <= B of `members` (ascending) whose meet lies in the
+    family `domain_bits` and whose valuation identity fails: every pair,
+    those that hold by their form included."""
+    for i, a in enumerate(members):
+        fa = values[a]
+        for b in members[i:]:
+            m = a & b
+            if (domain_bits >> m) & 1 and fa + values[b] != values[a | b] + values[m]:
+                return a, b
+    return None
+
+
+def reference_ie3_codes(n, codes):
+    """The identity on every triple a <= b <= c of masks: 120 on three points."""
+    top = 1 << n
+    for a in range(top):
+        for b in range(a, top):
+            for c in range(b, top):
+                lhs = codes[a | b | c]
+                rhs = (codes[a] + codes[b] + codes[c]
+                       - codes[a & b] - codes[b & c] - codes[a & c]
+                       + codes[a & b & c])
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def coefficients(plus, minus):
+    """The nonzero coefficients, by mask, of sum f(plus) - sum f(minus)."""
+    vec = Counter(plus)
+    vec.subtract(minus)
+    return frozenset((m, c) for m, c in vec.items() if c)
+
+
+# The meets of the three callers: the valuation identity with and without
+# the empty set in the domain, and disjoint additivity; each walked the
+# members from the first mask of its domain.
+CALLER_MEETS = [(-1, 0), (-2, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("meets, first", CALLER_MEETS)
+def test_valuation_witness_matches_member_pair_loop_on_every_n3_tuple(meets, first):
+    for codes in product(int_codes([ec(-1), ec(0), ec(1)]), repeat=8):
+        assert (valuation_witness(codes, 3, meets)
+                == reference_valuation_witness(codes, range(first, 8), meets))
+
+
+def seeded_near_modular_codes(rng, n):
+    """The codes of c + a weight sum, with up to two values moved by one."""
+    codes = [rng.randint(-2, 2)]
+    for _ in range(n):
+        w = rng.randint(-2, 2)
+        codes += [x + w for x in codes]
+    for _ in range(rng.randint(0, 2)):
+        codes[rng.randrange(1 << n)] += rng.choice((-1, 1))
+    return codes
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_valuation_witness_matches_member_pair_loop_on_seeded_tuples(n):
+    rng = random.Random(n)
+    parts = partitions_of(n)
+    for _ in range(30):
+        codes = seeded_near_modular_codes(rng, n)
+        for meets, first in CALLER_MEETS:
+            assert (valuation_witness(codes, n, meets)
+                    == reference_valuation_witness(codes, range(first, 1 << n), meets))
+        # On a block algebra, with junk outside it that the members filter skips.
+        sigma = algebra_from_partition(n, rng.choice(parts))
+        junk = [c if (sigma.bits >> m) & 1 else 99 for m, c in enumerate(codes)]
+        assert (valuation_witness(junk, n, sigma.bits, sigma.bits)
+                == reference_valuation_witness(codes, points_of(sigma.bits), sigma.bits))
+
+
+def test_valuation_witness_matches_member_pair_loop_on_every_relative_solution(monkeypatch):
+    # Each (sigma, values) that verify_relative checks, and each with one
+    # member's value flipped, by the rows with the members filter and by
+    # the member-pair loop `valuation_witness` ran before them.
+    seen = []
+
+    def recorded(values, sigma):
+        seen.append((values, sigma))
+        return valuation_on_algebra(values, sigma)
+
+    monkeypatch.setattr(verify, "valuation_on_algebra", recorded)
+    assert verify.verify_relative()["ok"]
+    assert len(seen) == 100
+    witnesses = 0
+    for values, sigma in seen:
+        members = points_of(sigma.bits)
+        for flip in [None, *members]:
+            moved = {m: v ^ (m == flip) for m, v in values.items()}
+            at = [moved.get(m, 99) for m in range(1 << sigma.n)]
+            witness = valuation_witness(at, sigma.n, sigma.bits, sigma.bits)
+            assert witness == reference_valuation_witness(moved, members, sigma.bits)
+            assert valuation_on_algebra(moved, sigma) is (witness is None)
+            witnesses += witness is not None
+    assert witnesses > 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_rows_skip_only_pairs_that_hold_by_form(n):
+    rows = valuations._pair_rows(n)
+    assert len(rows) == (4 ** n - 2 * 3 ** n + 2 ** n) // 2
+    kept = iter(rows)
+    row = next(kept, None)
+    for a in range(1 << n):
+        for b in range(a, 1 << n):
+            vec = coefficients((a, b), (a | b, a & b))
+            if row is not None and row[:2] == (a, b):
+                assert row == (a, b, a | b, a & b) and vec
+                row = next(kept, None)
+            else:
+                assert not vec
+    assert row is None
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 11), (4, 119)])
+def test_ie3_rows_skip_only_zero_or_repeated_identities(n, count):
+    rows = valuations._ie3_rows(n)
+    assert len(rows) == count
+    first = {}
+    for a, b, c in combinations_with_replacement(range(1 << n), 3):
+        vec = coefficients((a | b | c, a & b, b & c, a & c), (a, b, c, a & b & c))
+        if vec:
+            first.setdefault(vec, (a | b | c, a & b, b & c, a & c, a, b, c, a & b & c))
+    # Each kept row is the first triple of its identity, and every nonzero
+    # identity is kept once, in the order of its first triple.
+    assert rows == tuple(first.values())
+
+
+def test_ie3_matches_triple_loop():
+    for codes in product(int_codes([ec(-1), ec(0), ec(1)]), repeat=8):
+        assert check_inclusion_exclusion3(3, codes) == reference_ie3_codes(3, codes)
+    rng = random.Random(4)
+    for _ in range(60):
+        codes = seeded_near_modular_codes(rng, 4)
+        assert check_inclusion_exclusion3(4, codes) == reference_ie3_codes(4, codes)
+
+
+def value_preimage_family(f, v):
+    """`induced_family` by `ExactComplex` equality, the route before the codes."""
+    return 1 | (1 << ((1 << f.n) - 1)) | preimage(f.values, f.domain(), v)
+
+
+def test_induced_family_matches_value_equality_preimage():
+    for n in range(2, 6):
+        for d in descriptors(n, VALID_KINDS):
+            f, designated = f_from_form(d, n)
+            for v in {designated, ec(7), *f.values}:
+                assert induced_family(f, v).bits == value_preimage_family(f, v)
+    # The solutions thm3 and thm4 read.
+    for n, values, eq, mode in ((3, (-1, 0, 1), "eq2", "brute"),
+                                (4, (-1, 0, 1), "eq2", "modular"),
+                                (4, (-1, 0, 1), "eq1_disjoint", "brute"),
+                                (4, (0, 1, 2), "eq1_disjoint", "brute")):
+        for f in enumerate_solutions(n, [ec(x) for x in values], eq, mode):
+            for v in (*map(ec, values), ec(-2)):
+                assert induced_family(f, v).bits == value_preimage_family(f, v)
+
+
+@given(near_modular_functions(GAUSSIAN_RATIONALS), GAUSSIAN_RATIONALS)
+def test_induced_family_matches_value_equality_on_gaussian_rationals(f, v):
+    for w in (v, *f.values):
+        assert induced_family(f, w).bits == value_preimage_family(f, w)
