@@ -11,7 +11,9 @@ identity of `extend_by_zero_at_empty(f)` on the pairs with empty meet.
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
 loop runs on the exact integer codes of `int_codes`, one base for every
-identity any check forms.
+identity any check forms.  The Part 2 functions of `f_from_form` are
+integer-valued and stay plain ints from their table to the check: an int is
+its own code (denominator 1, no imaginary part).
 """
 
 from __future__ import annotations
@@ -325,17 +327,21 @@ def _code(m: int, points: tuple[int, ...]) -> int:
     return code
 
 
-def f_from_form(d: FormDescriptor, n: int) -> tuple[SetFunction, ExactComplex]:
-    """The explicit piecewise function attached to a constructible form,
-    with its designated preimage value.  The function is a valuation and its
-    induced family at the designated value reproduces the form's topology.
-    """
+def f_from_form(d: FormDescriptor, n: int) -> tuple[list[int], int]:
+    """The explicit piecewise function attached to a constructible form, as
+    its integer values by mask, with its designated preimage value.  The
+    function is a valuation and its induced family at the designated value
+    reproduces the form's topology.  The table code of every mask is built
+    by doubling over the points, as `core.subsets_word` doubles a word."""
     form_word(d, n)  # refuses exactly the descriptors construct_topology refuses
     names, table, designated = _PART2_TABLES[d.kind]
-    points = tuple(getattr(d, name) for name in names)
-    by_code = [ec(v) for v in table]
-    vals = tuple(by_code[_code(m, points)] for m in range(1 << n))
-    return SetFunction(n, True, vals), ec(designated)
+    bit_of = [0] * n
+    for i, name in enumerate(names):
+        bit_of[getattr(d, name)] |= 1 << i
+    idx = [0]
+    for bit in bit_of:
+        idx += [c | bit for c in idx]
+    return [table[c] for c in idx], designated
 
 
 # The ten pair subcases of the Form1A valuation check, keyed by the
@@ -386,15 +392,16 @@ def increasing_filter_check(f: SetFunction) -> dict:
     filter."""
     if not f.includes_empty:
         raise DomainError("check ranges over the full power set")
-    v = f.values
-    if not all(x.is_real for x in v):
+    if not all(x.is_real for x in f.values):
         raise DomainError("non-real value encountered")
-    increasing = all(v[a].re <= v[a | 1 << x].re for a in range(1 << f.n) for x in range(f.n))
+    # Real codes are re*d with d > 0, so they keep the order of the values.
+    codes = int_codes(f.values)
+    increasing = all(codes[a] <= codes[a | 1 << x] for a in range(1 << f.n) for x in range(f.n))
     report: dict = {"is_increasing": increasing}
     ok_val, _ = satisfies_valuation(f)
     report["is_valuation"] = ok_val
     if increasing and ok_val:
-        bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
+        bits = preimage(codes, f.domain(), codes[full_mask(f.n)])
         pw = powerset(f.n)
         # A constant function's preimage is pw, the improper filter; the
         # monotone-preimage fact holds in that generality.

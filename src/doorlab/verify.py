@@ -34,7 +34,6 @@ from .valuations import (
     lemma_two_valued_report,
     modular_compose,
     preimage,
-    satisfies_valuation,
     valuation_on_algebra,
     valuation_witness,
     verify_two_valued_additive,
@@ -193,10 +192,11 @@ def verify_part2() -> dict:
     checked = 0
     for n in range(2, 6):
         for d in descriptors(n, VALID_KINDS):
-            f, designated = f_from_form(d, n)
-            if not satisfies_valuation(f)[0]:
+            values, designated = f_from_form(d, n)
+            if valuation_witness(values, n) is not None:
                 ok = False
-            if induced_family(f, designated).bits != construct_topology(d, n).bits:
+            family = 1 | 1 << full_mask(n) | preimage(values, range(1 << n), designated)
+            if family != construct_topology(d, n).bits:
                 ok = False
             checked += 1
 

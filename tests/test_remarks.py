@@ -5,12 +5,16 @@ references are the routes it ran before: one `ExactComplex` `SetFunction`
 per assignment, each encoded on its own, and on four points the weight
 route."""
 
+import random
+from fractions import Fraction
 from itertools import product
 
 from doorlab import verify
+from doorlab.core import Family, powerset
+from doorlab.filters import is_filter
 from doorlab.valuations import (
     SetFunction, check_inclusion_exclusion3, ec, increasing_filter_check, int_codes,
-    modular_compose, satisfies_valuation)
+    modular_compose, preimage, satisfies_valuation)
 
 
 def reference_ie_scan():
@@ -69,3 +73,45 @@ def test_remarks_scans_match_exact_complex_reference(monkeypatch):
     assert report["increasing_checked"] == len(checked)
     assert report["ok"] is (agree and all(increasing_filter_check(f)["ok"] for f in brute))
     assert report["ok"] is True
+
+
+def reference_increasing_filter_check(f):
+    """`increasing_filter_check` by `.re` comparisons and `ExactComplex`
+    equality, the route before it read the integer codes."""
+    v = f.values
+    increasing = all(v[a].re <= v[a | 1 << x].re for a in range(1 << f.n) for x in range(f.n))
+    report = {"is_increasing": increasing, "is_valuation": satisfies_valuation(f)[0]}
+    if increasing and report["is_valuation"]:
+        bits = preimage(v, f.domain(), v[-1])
+        pw = powerset(f.n)
+        report["preimage_is_filter"] = bits == pw.bits or is_filter(Family(f.n, bits), pw)
+        report["preimage_is_proper"] = not bits & 1
+        report["ok"] = report["preimage_is_filter"]
+    else:
+        report["ok"] = True
+    return report
+
+
+def test_increasing_check_matches_re_comparison_reference(monkeypatch):
+    checked = []
+
+    def recording(f):
+        checked.append(f)
+        return increasing_filter_check(f)
+
+    monkeypatch.setattr(verify, "increasing_filter_check", recording)
+    verify.verify_remarks()
+    assert len(checked) == 107
+    # The increasing and non-increasing examples of tests/test_valuations.py.
+    examples = [SetFunction(3, True, tuple(ec(g(m)) for m in range(8)))
+                for g in (int.bit_count, lambda m: (m >> 1) & 1,
+                          lambda m: -m.bit_count(), lambda m: 5)]
+    # Rational weights of mixed denominators, some negative, on three and four points.
+    rng = random.Random(30)
+    weights = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3, 7)]
+    samples = [modular_compose(ec(rng.choice(weights)),
+                               tuple(ec(rng.choice(weights)) for _ in range(n)))
+               for n in (3, 4) for _ in range(100)]
+    reports = [increasing_filter_check(f) for f in checked + examples + samples]
+    assert reports == [reference_increasing_filter_check(f) for f in checked + examples + samples]
+    assert {r["is_increasing"] for r in reports} == {True, False}

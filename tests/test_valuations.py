@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doorlab import valuations, verify
+from doorlab.cli import run
 from doorlab.classify import (
     VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
 from doorlab.core import CAPS, DomainError, points_of, powerset
@@ -60,6 +62,12 @@ def cardinality_fn(n, includes_empty=True):
 def indicator_fn(n, p, includes_empty=True):
     vals = tuple(ec(1) if (m >> p) & 1 else ec(0) for m in range(1 << n))
     return SetFunction(n, includes_empty, vals)
+
+
+def exact_f_from_form(d, n):
+    """`f_from_form`'s integer values and designated value as `ExactComplex`."""
+    values, designated = f_from_form(d, n)
+    return SetFunction(n, True, tuple(map(ec, values))), ec(designated)
 
 
 class TestExactComplex:
@@ -263,7 +271,7 @@ class TestModular:
         assert all(w == ec(1) for w in weights)
 
     def test_decompose_form3_function(self):
-        f, _ = f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
+        f, _ = exact_f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
         c, weights = modular_decompose(f)
         assert c == ec(-1)
         assert weights == (ec(1), ec(1), ec(0), ec(0))
@@ -377,7 +385,7 @@ class TestValueShape:
 
 class TestFFromForm:
     def test_form1a_table_n3(self):
-        f, designated = f_from_form(FormDescriptor("Form1A", a=0, seed=1), 3)
+        f, designated = exact_f_from_form(FormDescriptor("Form1A", a=0, seed=1), 3)
         assert designated == ec(1)
         expected = {0b010: 1, 0b110: 1, 0b000: 0, 0b100: 0, 0b011: 0,
                     0b111: 0, 0b001: -1, 0b101: -1}
@@ -386,7 +394,7 @@ class TestFFromForm:
         assert satisfies_valuation(f)[0]
 
     def test_form3_n4(self):
-        f, designated = f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
+        f, designated = exact_f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
         assert designated == ec(-1)
         for m in range(16):
             assert f.values[m] == ec((m & 0b0011).bit_count() - 1)
@@ -394,8 +402,8 @@ class TestFFromForm:
         assert induced_family(f, designated).bits == top.bits
 
     def test_form1b_shares_form3_function(self):
-        f1b, d1b = f_from_form(FormDescriptor("Form1B", a=0, seed=1), 4)
-        f3, d3 = f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
+        f1b, d1b = exact_f_from_form(FormDescriptor("Form1B", a=0, seed=1), 4)
+        f3, d3 = exact_f_from_form(FormDescriptor("Form3", a=0, b=1), 4)
         assert f1b.values == f3.values
         assert (d1b, d3) == (ec(1), ec(-1))
 
@@ -409,7 +417,7 @@ class TestFFromForm:
         assert seen == set(range(1, 11))
 
     def test_subcase_consistent_with_valuation(self):
-        f, _ = f_from_form(FormDescriptor("Form1A", a=0, seed=1), 4)
+        f, _ = exact_f_from_form(FormDescriptor("Form1A", a=0, seed=1), 4)
         for A in range(16):
             for B in range(16):
                 form1a_pair_subcase(0, 1, A, B)
@@ -493,13 +501,60 @@ def reference_form1a_pair_subcase(a, seed, A, B):
     return REFERENCE_SUBCASE_INDEX[frozenset((cat(A), cat(B)))]
 
 
+def code_read_f_from_form(d, n):
+    """The route `verify_part2` read before the integer values: each mask's
+    table code by `_code`, one `ExactComplex` per mask in a `SetFunction`."""
+    names, table, designated = valuations._PART2_TABLES[d.kind]
+    points = tuple(getattr(d, name) for name in names)
+    vals = tuple(ec(table[valuations._code(m, points)]) for m in range(1 << n))
+    return SetFunction(n, True, vals), ec(designated)
+
+
+def part2_verdicts(d, n):
+    """`verify_part2`'s two checks of one descriptor, on the integer values:
+    (is a valuation, induced family is the constructed word)."""
+    values, designated = f_from_form(d, n)
+    family = 1 | 1 << ((1 << n) - 1) | preimage(values, range(1 << n), designated)
+    return valuation_witness(values, n) is None, family == construct_topology(d, n).bits
+
+
+def reference_part2_verdicts(d, n):
+    """The same two checks on the code-read `SetFunction`, through
+    `satisfies_valuation` and `induced_family`."""
+    f, designated = code_read_f_from_form(d, n)
+    return (satisfies_valuation(f)[0],
+            induced_family(f, designated).bits == construct_topology(d, n).bits)
+
+
 def test_f_from_form_matches_reference_branches():
+    """The integer values and designated value against the branch reference
+    and the code-read route, and the verifier's two verdicts against the
+    code-read route's."""
     checked = 0
     for n in range(2, 7):
         for d in descriptors(n, VALID_KINDS):
-            assert f_from_form(d, n) == reference_f_from_form(d, n), (n, d)
+            assert (exact_f_from_form(d, n) == reference_f_from_form(d, n)
+                    == code_read_f_from_form(d, n)), (n, d)
+            assert part2_verdicts(d, n) == reference_part2_verdicts(d, n) == (True, True), (n, d)
             checked += 1
     assert checked == 937
+
+
+@pytest.mark.parametrize("kind, row, verdicts", [
+    # f(seed) + f(a) = 0 but f(X) + f(empty) = 2, while the preimage of 1 is
+    # still the code 1 alone: only the valuation check can catch this row.
+    ("Form1A", (("seed", "a"), (0, 1, -1, 2), 1), (False, True)),
+    # The Form3 valuation read at 0 in place of -1: only the family check can.
+    ("Form3", (("a", "b"), (-1, 0, 0, 1), 0), (True, False)),
+])
+def test_part2_fails_on_a_broken_table_row(monkeypatch, capsys, kind, row, verdicts):
+    monkeypatch.setitem(valuations._PART2_TABLES, kind, row)
+    for n in range(2, 6):
+        for d in descriptors(n, (kind,)):
+            assert part2_verdicts(d, n) == reference_part2_verdicts(d, n) == verdicts, (n, d)
+    assert verify.verify_part2()["ok"] is False
+    assert run(["verify-theorem", "--id", "part2-constructions"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_form1a_subcase_matches_reference_categories():
@@ -882,7 +937,7 @@ def value_preimage_family(f, v):
 def test_induced_family_matches_value_equality_preimage():
     for n in range(2, 6):
         for d in descriptors(n, VALID_KINDS):
-            f, designated = f_from_form(d, n)
+            f, designated = exact_f_from_form(d, n)
             for v in {designated, ec(7), *f.values}:
                 assert induced_family(f, v).bits == value_preimage_family(f, v)
     # The solutions thm3 and thm4 read.
