@@ -14,14 +14,9 @@ import sys
 from .classify import (
     FormDescriptor, classify_connected_door, construct_topology, recognize_form)
 from .core import (
-    CAPS, ClaimFalsified, DomainError, mask_from_points, parse_family, points_of)
-from .search import (
-    census,
-    compare_with_golden,
-    enumerate_occ_door,
-    enumerate_solutions,
-    enumerate_topologies,
-)
+    CAPS, ClaimFalsified, DomainError, check_cap, mask_from_points, parse_family,
+    points_of)
+from .search import census, compare_with_golden, enumerate_solutions, enumerate_topologies
 from .topology import (
     Topology, lemma1_check, occ_satisfied, space_report, validate_topology)
 from .valuations import parse_value
@@ -168,11 +163,13 @@ def _run_verb(args) -> int:
                 _emit({"report": rep.to_json(),
                        "topologies": [t.to_hex() for t in tops]}, args.out)
             else:
-                tops = (census(args.n, args.mode)[1]["connected_door"]
-                        if args.what == "connected-door"
-                        else enumerate_occ_door(args.n, args.mode))
-                if isinstance(tops, dict):  # the occ-door note below four points
-                    _emit(tops, args.out)
+                occ = args.what == "occ-door"
+                if occ:
+                    check_cap("occ-door enumeration", args.n)
+                lists = census(args.n, args.mode)[1]
+                tops = lists.get("occ_door" if occ else "connected_door")
+                if tops is None:  # the census has no OCC list below four points
+                    _emit({"note": "OCC is vacuous below four points", "n": args.n}, args.out)
                 else:
                     _emit({"n": args.n, "count": len(tops),
                            "topologies": [t.to_json() for t in tops]}, args.out)

@@ -88,7 +88,8 @@ def _closure_dfs(n: int, door_traces: bool = False) -> tuple[list[int], int]:
     such (T, u, a) gives a topology with trace T (a member of T not within u
     holds some U_b, so holds a) whose u and a read back as chosen: each
     topology comes out exactly once.  The mode keeps its name "closure_dfs",
-    which the JSON reports print, as `visited` still counts each topology once.
+    which the JSON reports print; the count, len(words) + skipped, still
+    counts each topology once.
 
     With `door_traces`, the last level builds only the children of door
     traces, and counts the others without building them: T & sub[cap] holds
@@ -190,16 +191,6 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
                 raise ClaimFalsified("connected door spaces are point topologies",
                                      {"n": n, "hex": t.to_hex()})
     return rep, lists
-
-
-def enumerate_occ_door(n: int, mode: str = "auto"):
-    """Door topologies satisfying OCC; each must be connected-door once the
-    space has more than three points."""
-    check_cap("occ-door enumeration", n)
-    lists = census(n, mode)[1]  # refuses a bad mode at every n
-    if n < 4:
-        return {"note": "OCC is vacuous below four points", "n": n}
-    return lists["occ_door"]
 
 
 def _brute_solutions(n: int, codes: list[int], first: int) -> list[tuple[int, ...]]:

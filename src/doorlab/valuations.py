@@ -19,6 +19,7 @@ its own code (denominator 1, no imaginary part).
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,29 +78,39 @@ def ec(re, im=0) -> ExactComplex:
     return ExactComplex(Fraction(re), Fraction(im))
 
 
+# Fraction's literal grammar, "_" only between digits.
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(
+    rf"\s*(?P<sign>[-+]?)(?=\.?\d)(?P<num>{_DIGITS})?(?:/(?P<den>{_DIGITS})"
+    rf"|(?:\.(?P<dec>{_DIGITS})?)?(?:e(?P<exp>[-+]?{_DIGITS}))?)\s*", re.IGNORECASE)
+
+
 def _fraction(part: str, text: str) -> Fraction:
     """Fraction(part), for a part of the value literal `text`, refused when
     its numerator or denominator has more digits than the int digit limit,
-    as `str` could not print it.  Fraction would expand 10**exp unbounded,
-    so the exponent is read first: a nonzero mantissa of k digits has such a
-    numerator or denominator once |exp| > limit + k, and the literal with
-    exponent 0 has the same form and is 0 exactly when the mantissa is.  An
-    int of more than limit digits has more than 3 * limit bits, so
-    bit_length settles most values without building 10**limit."""
+    as `str` could not print it.  The literal is read as sig * 10**e / den,
+    without the zeros that leave the value alone.  No digit string past the
+    limit reaches `int`, nor is a power of ten past twice the limit built:
+    sig * 10**e has len(sig) + e digits, and for e < 0 a denominator above
+    10**(-e - len(sig))."""
     limit = sys.get_int_max_str_digits() or math.inf
-    mantissa, _, exp = part.lower().partition("e")
-    try:
-        shift = abs(int(exp)) if exp else 0
-        # Fraction refuses a space after the e, which int(exp) would skip.
-        far = shift > limit + sum(map(str.isdigit, mantissa)) and not exp[0].isspace()
-        q = Fraction(mantissa + "e0" if far else part)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse value {text!r}") from exc
-    big = max(abs(q.numerator), q.denominator)
-    if far and q or big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise DomainError(f"exponent of value {text!r} exceeds {limit}" if shift > limit
-                          else f"value {text!r} has more than {limit} digits")
-    return q
+    m = _LITERAL.fullmatch(part)
+    if m is None or m["den"] and not m["den"].strip("0_"):
+        raise DomainError(f"cannot parse value {text!r}")
+    num, den, dec, exp = ((m[k] or "").replace("_", "") for k in ("num", "den", "dec", "exp"))
+    shift = int(digits or 0) if len(digits := exp.lstrip("+-").lstrip("0")) <= limit else math.inf
+    head = (num + dec).lstrip("0")
+    sig, den = head if den else head.rstrip("0"), den.lstrip("0") or "1"
+    if not sig:
+        return Fraction(0)
+    e = (-shift if exp.startswith("-") else shift) - len(dec) + len(head) - len(sig)
+    if max(len(sig), len(den), len(sig) + e, 1 - e - len(sig)) <= limit:
+        q = Fraction(int(sig) * 10 ** max(e, 0), int(den) * 10 ** max(-e, 0))
+        big = max(q.numerator, q.denominator)
+        if big.bit_length() <= 3 * limit or big < 10 ** limit:
+            return -q if m["sign"] == "-" else q
+    raise DomainError(f"exponent of value {text!r} exceeds {limit}" if shift > limit
+                      else f"value {text!r} has more than {limit} digits")
 
 
 def parse_value(text: str) -> ExactComplex:

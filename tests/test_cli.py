@@ -143,6 +143,22 @@ def test_six_point_caps_refuse_seven(capsys, argv, job):
     assert err == f"error: {job} caps at n = 6\n"
 
 
+def test_occ_door_refuses_past_its_cap_then_outside_the_ground_set(capsys):
+    for n, message in (("7", "occ-door enumeration caps at n = 6"),
+                       ("0", "ground set size 0 outside [1, 10]")):
+        code, out, err = capture(capsys, ["enumerate", "--what", "occ-door", "--n", n])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("mode", ["raw_scan", "closure_dfs"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_occ_door_below_four_points_is_note(capsys, n, mode):
+    code, out, err = capture(
+        capsys, ["enumerate", "--what", "occ-door", "--n", str(n), "--mode", mode])
+    assert (code, err) == (0, "")
+    assert out == f'{{\n  "n": {n},\n  "note": "OCC is vacuous below four points"\n}}\n'
+
+
 def test_occ_door_enumeration_at_six_points(capsys):
     code, out, _ = capture(capsys, ["enumerate", "--what", "occ-door", "--n", "6"])
     assert code == 0
@@ -320,7 +336,7 @@ def test_solve_huge_exponent_is_refused_before_expanding():
     assert proc.stderr == "error: exponent of value '1e9999999' exceeds 4300\n"
 
 
-@pytest.mark.parametrize("value", ["1e4300", "1e4300i"])
+@pytest.mark.parametrize("value", ["1e4300", "1e4300i", pytest.param("9" * 4301, id="nines")])
 def test_solve_value_beyond_digit_limit_is_named(capsys, value):
     # 10**4300 has 4,301 digits: parsed, it would only fail in the JSON output
     # with Python's own message, which names no value.
@@ -341,6 +357,15 @@ def test_solve_value_not_exponent_decides_refusal(capsys, value, re):
     doc = json.loads(out)
     assert doc["count"] == 4
     assert {v["re"] for s in doc["solutions"] for v in s["values"]} == {re, "1"}
+
+
+def test_solve_reads_zero_padded_values(capsys):
+    # Zero padding leaves the value alone, so the limit ignores it.
+    padded = ["0" * 5000, "1." + "0" * 5000]
+    code, out, _ = capture(
+        capsys, ["solve", "--n", "2", "--equation", "eq2", f"--values={','.join(padded)}"])
+    assert code == 0
+    assert out == capture(capsys, ["solve", "--n", "2", "--equation", "eq2", "--values=0,1"])[1]
 
 
 @pytest.mark.parametrize("value", ["1e99999", "1e999999999999"])

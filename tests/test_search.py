@@ -16,7 +16,6 @@ from doorlab.search import (
     census,
     compare_with_golden,
     counts_report,
-    enumerate_occ_door,
     enumerate_solutions,
     enumerate_topologies,
     induced_topology_survey,
@@ -254,18 +253,18 @@ def test_closure_cap():
         enumerate_topologies(7, "closure_dfs")
 
 
-# The entry point of each job in `CAPS`, called on n points.
+# The entry point of each job in `CAPS`, called on n points.  The CLI's
+# `enumerate` verb checks the occ-door cap itself (see tests/test_cli.py).
 CAP_ENTRY_POINTS = {
     "raw_scan": lambda n: enumerate_topologies(n, "raw_scan"),
     "closure_dfs": lambda n: enumerate_topologies(n, "closure_dfs"),
-    "occ-door enumeration": enumerate_occ_door,
     "brute solution scan": lambda n: enumerate_solutions(n, [ec(0), ec(1)], mode="brute"),
     "modular solution scan": lambda n: enumerate_solutions(n, [ec(0), ec(1)], mode="modular"),
     "counts report": counts_report,
 }
 
 
-@pytest.mark.parametrize("job", sorted(set(CAPS) - {"ground set"}))
+@pytest.mark.parametrize("job", sorted(set(CAPS) - {"ground set", "occ-door enumeration"}))
 def test_every_job_refuses_past_its_cap_then_outside_the_ground_set(job):
     entry = CAP_ENTRY_POINTS[job]
     with pytest.raises(CapabilityError) as exc:
@@ -279,7 +278,7 @@ def test_every_job_refuses_past_its_cap_then_outside_the_ground_set(job):
 @pytest.mark.parametrize("n", [3, 5])
 def test_occ_door_refuses_an_unknown_mode_at_every_n(n):
     with pytest.raises(CapabilityError, match="unknown enumeration mode 'bogus'"):
-        enumerate_occ_door(n, "bogus")
+        census(n, "bogus")
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 8), (5, 10)])
@@ -289,8 +288,9 @@ def test_connected_door_counts(n, count):
 
 def test_occ_door_matches_connected_door():
     for n in (4, 5):
-        occ = {t.bits for t in enumerate_occ_door(n)}
-        cd = {t.bits for t in census(n)[1]["connected_door"]}
+        lists = census(n)[1]
+        occ = {t.bits for t in lists["occ_door"]}
+        cd = {t.bits for t in lists["connected_door"]}
         assert occ == cd
 
 
@@ -399,11 +399,6 @@ def test_enumerations_per_verifier(monkeypatch, vid, most):
     monkeypatch.setattr(search, "_words", counted)
     assert verify.VERIFIERS[vid]()["ok"]
     assert len(calls) <= most, calls
-
-
-def test_occ_door_below_four_points_is_note():
-    out = enumerate_occ_door(3)
-    assert isinstance(out, dict) and "note" in out
 
 
 class TestSolutions:

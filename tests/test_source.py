@@ -95,6 +95,22 @@ def test_public_src_functions_have_src_callers():
     assert found == []
 
 
+def test_private_src_functions_have_src_references():
+    """A private top-level function is named somewhere in src outside its
+    own body: deleting its last caller deletes it too."""
+    trees, _ = src_trees_and_exports()
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                own = set(map(id, ast.walk(node)))
+                if not any(getattr(ref, "id", getattr(ref, "attr", None)) == node.name
+                           and id(ref) not in own
+                           for t in trees for ref in ast.walk(t)):
+                    found.append(node.name)
+    assert found == []
+
+
 def test_src_calls_pass_every_default_of_a_public_src_function():
     """Each defaulted parameter of a public src function, exported ones
     aside, is passed by some src call, positionally or by keyword: a knob

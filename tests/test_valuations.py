@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -70,6 +71,18 @@ def exact_f_from_form(d, n):
     return SetFunction(n, True, tuple(map(ec, values))), ec(designated)
 
 
+def check_reads_like_fraction(text):
+    """A literal Fraction reads parses to the same value, and one it refuses
+    is refused as unparseable."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DomainError, match="cannot parse"):
+            valuations._fraction(text, text)
+    else:
+        assert valuations._fraction(text, text) == expected
+
+
 class TestExactComplex:
     def test_arithmetic(self):
         a, b = ec(1, 2), ec("1/2", -1)
@@ -118,10 +131,14 @@ class TestExactComplex:
         assert parse_value("1e4299i").im == 10 ** 4299
 
     @pytest.mark.parametrize("text", [
-        "1e4300", "-1e4300", "1e-4300", "15e4299", "1e4300i", "2-1e-4300i"])
+        "1e4300", "-1e4300", "1e-4300", "15e4299", "1e4300i", "2-1e-4300i",
+        *(pytest.param(text, id=name) for name, text in (
+            ("nines", "9" * 4301), ("decimal", "0." + "0" * 4400 + "1"),
+            ("ratio", "1/" + "9" * 4301), ("signed", "-0" + "9" * 4301 + ".0")))])
     def test_parse_refuses_values_beyond_digit_limit(self, text):
         # An exponent at the limit passes the exponent test, but its power
-        # of ten has 4,301 digits, one more than str prints.
+        # of ten has 4,301 digits, one more than str prints; and 4,301
+        # significant digits are as many, however the literal places them.
         with pytest.raises(DomainError) as exc:
             parse_value(text)
         assert str(exc.value) == f"value {text!r} has more than 4300 digits"
@@ -130,6 +147,34 @@ class TestExactComplex:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         assert parse_value("1e5000").re == 10 ** 5000
         assert parse_value("1e-5000i").im == Fraction(1, 10 ** 5000)
+
+    @pytest.mark.parametrize("text,value", [
+        ("0" * 5000, 0), ("0" * 4400 + "5", 5), ("1." + "0" * 5000, 1),
+        ("5" + "0" * 4400 + "e-4400", 5), ("0e" + "1" * 5000, 0),
+        ("1/" + "0" * 5000 + "3", Fraction(1, 3))],
+        ids=["zeros", "leading", "decimal", "exponent", "long-exponent", "ratio"])
+    def test_parse_ignores_zeros_that_do_not_change_the_value(self, text, value, monkeypatch):
+        # Leading zeros, and trailing zeros that the decimal point or the
+        # exponent cancels, do not count towards the digit limit; and no
+        # digit string past the limit reaches int, which would refuse it.
+        def short_int(x=0, *args):
+            assert not isinstance(x, str) or len(x) <= 4300, len(x)
+            return int(x, *args)
+
+        monkeypatch.setattr(valuations, "int", short_int, raising=False)
+        assert parse_value(text) == ec(value)
+        assert parse_value(text + "i") == ec(0, value)
+
+    @given(st.text("0123456789._eE+-/\t", max_size=10))
+    def test_parse_reads_fraction_grammar(self, text):
+        # Exponents stay below 4 digits, so every value is within the limit.
+        if not re.search(r"e[-+]?[\d_]{4}", text, re.IGNORECASE):
+            check_reads_like_fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "1\t/2", "\t-.5e+1_2 ", "1_0/0_0", "1__0", "_1", "1.e5", ".e5", "5/", "+-1", "1.d"])
+    def test_parse_reads_fraction_grammar_at_its_edges(self, text):
+        check_reads_like_fraction(text)
 
     def test_str_roundtrip(self):
         for v in (ec(3), ec("-1/2"), ec(0, 2), ec(1, -2), ec("1/2", "3/4")):
