@@ -1,6 +1,7 @@
 """Constructors and recognizers for the named topology forms: excluded and
 included point topologies, the three preimage-induced forms, and the
-two-ultrafilter union shape.
+two-ultrafilter union shape; and the explicit function of Part 2 whose
+preimage induces each of them.
 
 Ultrafilter parameters are given by their principal point; free ultrafilters
 do not exist on finite ground sets, so forms requiring them are rejected as
@@ -20,10 +21,23 @@ class UnconstructibleError(ValueError):
     """The descriptor needs a free ultrafilter, which no finite set has."""
 
 
-VALID_KINDS = (
-    "ExcludedPoint", "IncludedPoint", "UltrafilterType",
-    "Form1A", "Form1B", "Form2", "Form3", "T2Shape",
-)
+# One row per constructible kind.  The kind is the cylinder
+# C(S, T) = {∅, X} ∪ {A : A ∩ S = T}: the row names the points of S, and bit i
+# of its flags puts the i-th named point in T.  Then come the columns of its
+# Part 2 function, which on a finite set reads a mask m at its own watched
+# points only: bit i of the code of m is m's bit at the i-th of them.  They
+# give the names of those points, the value at each code and the designated
+# value.  Form2 has no row: it needs free ultrafilters.
+FORMS = {
+    "ExcludedPoint": (("a",), 0b0, ("a",), (1, 0), 1),
+    "IncludedPoint": (("a",), 0b1, ("a",), (0, 1), 1),
+    "UltrafilterType": (("seed",), 0b1, ("seed",), (0, 1), 1),
+    "Form1A": (("a", "seed"), 0b10, ("seed", "a"), (0, 1, -1, 0), 1),
+    "Form1B": (("a", "seed"), 0b11, ("seed", "a"), (-1, 0, 0, 1), 1),
+    "Form3": (("a", "b"), 0b00, ("a", "b"), (-1, 0, 0, 1), -1),
+    "T2Shape": (("p", "q"), 0b11, ("p", "q"), (0, 1, 1, 2), 2),
+}
+VALID_KINDS = (*FORMS, "Form2")
 
 
 @dataclass(frozen=True)
@@ -70,36 +84,21 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-# Every constructible kind is a cylinder C(S, T) = {∅, X} ∪ {A : A ∩ S = T}.
-# A row names the points of S, and bit i of its flags puts the i-th named
-# point in T.  Form2 has no row: it needs free ultrafilters.
-_CYLINDERS = {
-    "ExcludedPoint": (("a",), 0b0),
-    "IncludedPoint": (("a",), 0b1),
-    "UltrafilterType": (("seed",), 0b1),
-    "Form1A": (("a", "seed"), 0b10),
-    "Form1B": (("a", "seed"), 0b11),
-    "Form3": (("a", "b"), 0b00),
-    "T2Shape": (("p", "q"), 0b11),
-}
-
-
-def form_word(d: FormDescriptor, n: int) -> int:
-    """The family word of the form `d` on n points, after the one check of
-    its parameters that `construct_topology` and `valuations.f_from_form`
-    share."""
+def _checked_row(d: FormDescriptor, n: int) -> tuple[int, int, list]:
+    """S and T of the cylinder of `d` on n points and the Part 2 columns of
+    its `FORMS` row, after the one check of its parameters that `form_word`
+    and `f_from_form` share."""
     check_ground(n)  # before any 2^n-bit word is built
-    full = full_mask(n)
     k = d.kind
     if k == "Form2":
         raise UnconstructibleError(
             "unconstructible: free ultrafilters do not exist on finite sets")
-    names, flags = _CYLINDERS[k]
+    names, flags, *part2 = FORMS[k]
     if k == "T2Shape":
         _require(d.p is None or d.p >= 0, "p must lie in A")  # before any shift by p
         _require(d.p is None or d.p < n, "parameter p out of range")
         _require(d.A is not None, "parameter A missing")
-        _require(0 < d.A < full, "A must be proper nonempty")
+        _require(0 < d.A < full_mask(n), "A must be proper nonempty")
     elif k == "Form3":
         _require(d.a is not None, "parameter a missing")
         _require(d.b is not None, "parameter b missing")
@@ -117,8 +116,31 @@ def form_word(d: FormDescriptor, n: int) -> int:
     if S.bit_count() < len(names):  # T2Shape's p and q differ by their sides of A
         raise DomainError("need distinct points a, b" if k == "Form3"
                           else "seed must be a point distinct from a")
+    return S, T, part2
+
+
+def form_word(d: FormDescriptor, n: int) -> int:
+    """The family word of the form `d` on n points."""
+    S, T, _ = _checked_row(d, n)
+    full = full_mask(n)
     # A ∩ S = T exactly when A = T + B for some B ⊆ X minus S
     return 1 | (1 << full) | (subsets_word(full & ~S) << T)
+
+
+def f_from_form(d: FormDescriptor, n: int) -> tuple[list[int], int]:
+    """The explicit piecewise function attached to a constructible form, as
+    its integer values by mask, with its designated preimage value.  The
+    function is a valuation and its induced family at the designated value
+    reproduces the form's topology.  The table code of every mask is built
+    by doubling over the points, as `core.subsets_word` doubles a word."""
+    _, _, (names, table, designated) = _checked_row(d, n)
+    bit_of = [0] * n
+    for i, name in enumerate(names):
+        bit_of[getattr(d, name)] |= 1 << i
+    idx = [0]
+    for bit in bit_of:
+        idx += [c | bit for c in idx]
+    return [table[c] for c in idx], designated
 
 
 def construct_topology(d: FormDescriptor, n: int) -> Topology:

@@ -34,11 +34,19 @@ FORM_NAMES = {
 }
 
 
+def _point(token: str) -> int:
+    """One point of --A, read as `int` reads it."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"--A point {token!r} is not an integer") from None
+
+
 def _descriptor_from_args(args) -> FormDescriptor:
     kind = FORM_NAMES[args.form]
     A = None
     if args.A is not None:
-        A = mask_from_points([int(x) for x in args.A.split(",") if x != ""], args.n)
+        A = mask_from_points([_point(x) for x in args.A.split(",") if x != ""], args.n)
     elif kind == "T2Shape" and args.p is not None and 0 <= args.p < args.n <= CAPS["ground set"]:
         # A = {p} only for a p in range: the range checks name p itself.
         A = 1 << args.p

@@ -11,9 +11,9 @@ identity of `extend_by_zero_at_empty(f)` on the pairs with empty meet.
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
 loop runs on the exact integer codes of `int_codes`, one base for every
-identity any check forms.  The Part 2 functions of `f_from_form` are
-integer-valued and stay plain ints from their table to the check: an int is
-its own code (denominator 1, no imaginary part).
+identity any check forms.  The Part 2 functions of `classify.f_from_form`
+are integer-valued and stay plain ints from their `classify.FORMS` row to the
+check: an int is its own code (denominator 1, no imaginary part).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from . import filters
-from .classify import FormDescriptor, form_word
 from .core import (
     CAPS, DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
     points_of, powerset, subsets_word, supersets_word)
@@ -315,44 +314,11 @@ def classify_value_shape(values: list[ExactComplex]) -> dict:
     return {"shape": "Other"}
 
 
-# The explicit function of each constructible form, as one table row.  On a
-# finite set each function reads a mask m at one or two watched points only:
-# bit i of the code of m is m's bit at the i-th named point.  A row gives the
-# names of the watched points, the value at each code and the designated
-# value.  Form2 has no row: it needs free ultrafilters.
-_PART2_TABLES = {
-    "IncludedPoint": (("a",), (0, 1), 1),
-    "UltrafilterType": (("seed",), (0, 1), 1),
-    "ExcludedPoint": (("a",), (1, 0), 1),
-    "Form1A": (("seed", "a"), (0, 1, -1, 0), 1),
-    "Form1B": (("seed", "a"), (-1, 0, 0, 1), 1),
-    "Form3": (("a", "b"), (-1, 0, 0, 1), -1),
-    "T2Shape": (("p", "q"), (0, 1, 1, 2), 2),
-}
-
-
 def _code(m: int, points: tuple[int, ...]) -> int:
     code = 0
     for i, x in enumerate(points):
         code |= ((m >> x) & 1) << i
     return code
-
-
-def f_from_form(d: FormDescriptor, n: int) -> tuple[list[int], int]:
-    """The explicit piecewise function attached to a constructible form, as
-    its integer values by mask, with its designated preimage value.  The
-    function is a valuation and its induced family at the designated value
-    reproduces the form's topology.  The table code of every mask is built
-    by doubling over the points, as `core.subsets_word` doubles a word."""
-    form_word(d, n)  # refuses exactly the descriptors construct_topology refuses
-    names, table, designated = _PART2_TABLES[d.kind]
-    bit_of = [0] * n
-    for i, name in enumerate(names):
-        bit_of[getattr(d, name)] |= 1 << i
-    idx = [0]
-    for bit in bit_of:
-        idx += [c | bit for c in idx]
-    return [table[c] for c in idx], designated
 
 
 # The ten pair subcases of the Form1A valuation check, keyed by the

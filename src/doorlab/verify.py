@@ -10,7 +10,8 @@ from itertools import product
 
 from . import filters
 from .classify import (
-    VALID_KINDS, classify_connected_door, construct_topology, descriptors, form_bits)
+    VALID_KINDS, classify_connected_door, construct_topology, descriptors, f_from_form,
+    form_bits)
 from .core import Family, full_mask, points_of, powerset
 from .search import (
     census,
@@ -26,7 +27,6 @@ from .valuations import (
     check_inclusion_exclusion3,
     classify_value_shape,
     ec,
-    f_from_form,
     form1a_pair_subcase,
     increasing_filter_check,
     induced_family,

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import doorlab.search as search
-from doorlab.classify import UnconstructibleError, construct_topology
+from doorlab.classify import UnconstructibleError, construct_topology, f_from_form
 from doorlab.cli import _descriptor_from_args, build_parser, run
 from doorlab.core import DomainError
-from doorlab.valuations import f_from_form
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -431,6 +430,19 @@ def test_construct_past_the_enumeration_caps_round_trips(n):
     doc = doorlab("check", "--n", n, "--family", family)
     assert doc["topology"] == top
     assert (doc["report"]["connected_door"], doc["occ"], doc["lemma1"]) == (True,) * 3
+
+
+@pytest.mark.parametrize("token, code, err", [
+    ("x", 2, "error: --A point 'x' is not an integer\n"),
+    ("1.5", 2, "error: --A point '1.5' is not an integer\n"),
+    ("1_0", 2, "error: point 10 out of range for ground set of size 3\n"),
+    (" 1", 0, ""),
+    ("+1", 0, ""),
+])
+def test_construct_reads_A_points_as_int_does(capsys, token, code, err):
+    argv = ["construct", "--form", "t2", "--n", "3", "--p", "1", "--q", "2", "--A"]
+    out = capture(capsys, [*argv, "1"])[1] if code == 0 else ""
+    assert capture(capsys, [*argv, token]) == (code, out, err)
 
 
 def test_construct_t2_takes_A_from_p_up_to_the_ground_set_bound(capsys):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from doorlab import classify, cli, valuations
+from doorlab import classify, cli
 from doorlab.topology import Topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -211,10 +211,9 @@ def test_every_src_error_but_claim_falsified_is_a_value_error():
 
 
 def test_form_kinds_agree_across_modules():
-    """A form kind is in `VALID_KINDS`, the CLI's form names, the cylinder
-    rows of `classify` and the Part 2 table of `valuations` alike, except
-    Form2, which has no row in either table: no kind is half added."""
+    """A form kind is in `VALID_KINDS` and the CLI's form names alike, and
+    has a `classify.FORMS` row unless it is Form2, which needs free
+    ultrafilters: no kind is half added."""
     kinds = set(classify.VALID_KINDS)
     assert kinds == set(cli.FORM_NAMES.values())
-    constructible = kinds - {"Form2"}
-    assert constructible == set(classify._CYLINDERS) == set(valuations._PART2_TABLES)
+    assert kinds - {"Form2"} == set(classify.FORMS)

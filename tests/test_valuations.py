@@ -9,10 +9,11 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
-from doorlab import valuations, verify
+from doorlab import classify, valuations, verify
 from doorlab.cli import run
 from doorlab.classify import (
-    VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors)
+    VALID_KINDS, FormDescriptor, UnconstructibleError, construct_topology, descriptors,
+    f_from_form)
 from doorlab.core import CAPS, DomainError, points_of, powerset
 from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.search import enumerate_solutions
@@ -24,7 +25,6 @@ from doorlab.valuations import (
     classify_value_shape,
     ec,
     extend_by_zero_at_empty,
-    f_from_form,
     form1a_pair_subcase,
     increasing_filter_check,
     induced_family,
@@ -548,8 +548,9 @@ def reference_form1a_pair_subcase(a, seed, A, B):
 
 def code_read_f_from_form(d, n):
     """The route `verify_part2` read before the integer values: each mask's
-    table code by `_code`, one `ExactComplex` per mask in a `SetFunction`."""
-    names, table, designated = valuations._PART2_TABLES[d.kind]
+    table code by `_code`, one `ExactComplex` per mask in a `SetFunction`,
+    from the function columns of the kind's `classify.FORMS` row."""
+    _, _, names, table, designated = classify.FORMS[d.kind]
     points = tuple(getattr(d, name) for name in names)
     vals = tuple(ec(table[valuations._code(m, points)]) for m in range(1 << n))
     return SetFunction(n, True, vals), ec(designated)
@@ -593,13 +594,27 @@ def test_f_from_form_matches_reference_branches():
     ("Form3", (("a", "b"), (-1, 0, 0, 1), 0), (True, False)),
 ])
 def test_part2_fails_on_a_broken_table_row(monkeypatch, capsys, kind, row, verdicts):
-    monkeypatch.setitem(valuations._PART2_TABLES, kind, row)
+    # `row` breaks only the function columns: the cylinder columns still build the word.
+    monkeypatch.setitem(classify.FORMS, kind, (*classify.FORMS[kind][:2], *row))
     for n in range(2, 6):
         for d in descriptors(n, (kind,)):
             assert part2_verdicts(d, n) == reference_part2_verdicts(d, n) == verdicts, (n, d)
     assert verify.verify_part2()["ok"] is False
     assert run(["verify-theorem", "--id", "part2-constructions"]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_f_from_form_builds_no_form_word(monkeypatch):
+    """The function reads its row through the parameter check alone: no
+    family word is built, and the values are still the branch reference's."""
+    def no_word(*_):
+        raise AssertionError("f_from_form built a family word")
+
+    monkeypatch.setattr(classify, "form_word", no_word)
+    monkeypatch.setattr(classify, "subsets_word", no_word)
+    for n in range(2, 6):
+        for d in descriptors(n, VALID_KINDS):
+            assert exact_f_from_form(d, n) == reference_f_from_form(d, n), (n, d)
 
 
 def test_form1a_subcase_matches_reference_categories():
