@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
-from .classify import classify_connected_door, form_bits
+from .classify import form_bits
 from .core import (
     CAPS, CapabilityError, ClaimFalsified, check_cap, complement_family,
     full_mask, points_of, subsets_word, supersets_word)
@@ -159,10 +159,11 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
     """Classify every topology on n points once: the door, connected-door
     and (n >= 4) door + OCC lists, each in enumeration order.  The paper's
     claims about them are checked on the way: door + OCC implies connected
-    door, there are 2n connected door spaces (two on two points), and each
-    is an excluded-point or included-point topology.  Only door words, which
-    with their complement words hold every subset, reach `space_report`: its
-    cross-check fails on no other word, as open xor closed implies door.
+    door, there are 2n connected door spaces (two on two points), and they
+    are exactly the excluded-point and included-point topologies.  Only door
+    words, which with their complement words hold every subset, reach
+    `space_report`: its cross-check fails on no other word, as open xor
+    closed implies door.
     The closure DFS hands that filter only the children of door traces."""
     words, rep = _words(n, mode, True)
     every = (1 << (1 << n)) - 1
@@ -185,11 +186,9 @@ def census(n: int, mode: str = "auto") -> tuple[EnumerationReport, dict[str, lis
         if len(out) != expected:
             raise ClaimFalsified("connected-door count",
                                  {"n": n, "count": len(out), "expected": expected})
-        for t in out:
-            labels = classify_connected_door(t).labels
-            if not all(d.kind in ("ExcludedPoint", "IncludedPoint") for d in labels):
-                raise ClaimFalsified("connected door spaces are point topologies",
-                                     {"n": n, "hex": t.to_hex()})
+        if odd := {t.bits for t in out} ^ form_bits(n, ("ExcludedPoint", "IncludedPoint")):
+            raise ClaimFalsified("connected door spaces are point topologies",
+                                 {"n": n, "hex": Topology(n, min(odd)).to_hex()})
     return rep, lists
 
 

@@ -30,7 +30,6 @@ from . import filters
 from .core import (
     CAPS, DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
     points_of, powerset, subsets_word, supersets_word)
-from .topology import Topology, is_topology_bits, space_report
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ class SetFunction:
             raise DomainError("function not defined on the empty set")
         return self.values[mask]
 
-    def value_set(self) -> list[ExactComplex]:
-        return sorted({self.values[m] for m in self.domain()},
-                      key=ExactComplex.sort_key)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -261,38 +256,6 @@ def extend_by_zero_at_empty(f: SetFunction) -> SetFunction:
     vals = list(f.values)
     vals[0] = EC_ZERO
     return SetFunction(f.n, True, tuple(vals))
-
-
-def verify_two_valued_additive(f: SetFunction) -> dict:
-    """For a two-valued surjective solution of disjoint additivity on at
-    least three points: 0 is a value, the preimage of f(X) is an
-    ultrafilter, and adding the empty set gives a connected door topology.
-    """
-    if f.includes_empty:
-        raise DomainError("disjoint additivity uses the empty-free domain")
-    if f.n < 3:
-        raise DomainError("needs a ground set with at least three points")
-    values = f.value_set()
-    if len(values) != 2:
-        raise DomainError("function is not onto a two-element value set")
-    ok, witness = satisfies_disjoint_additivity(f)
-    if not ok:
-        raise DomainError(f"disjoint additivity fails at pair {witness}")
-
-    zero_in_values = any(v.is_zero for v in values)
-    pre_bits = preimage(f.values, f.domain(), f.values[full_mask(f.n)])
-    pre = Family(f.n, pre_bits)
-    is_uf = filters.is_ultrafilter(pre, powerset(f.n))
-
-    bits = pre_bits | 1
-    is_cd = is_topology_bits(f.n, bits) and space_report(Topology(f.n, bits)).connected_door
-
-    return {
-        "zero_in_values": zero_in_values,
-        "preimage_is_ultrafilter": is_uf,
-        "induces_connected_door": is_cd,
-        "ok": zero_in_values and is_uf and is_cd,
-    }
 
 
 def classify_value_shape(values: list[ExactComplex]) -> dict:

@@ -20,13 +20,14 @@ from .search import (
     induced_topology_survey,
     topology_words,
 )
-from .topology import lemma1_check, occ_satisfied, space_report, validate_topology
+from .topology import Topology, is_topology_bits, lemma1_check, occ_satisfied, space_report
 from .valuations import (
     ExactComplex,
     SetFunction,
     check_inclusion_exclusion3,
     classify_value_shape,
     ec,
+    extend_by_zero_at_empty,
     form1a_pair_subcase,
     increasing_filter_check,
     induced_family,
@@ -34,9 +35,9 @@ from .valuations import (
     lemma_two_valued_report,
     modular_compose,
     preimage,
+    satisfies_disjoint_additivity,
     valuation_on_algebra,
     valuation_witness,
-    verify_two_valued_additive,
 )
 
 CONNECTED_DOOR_COUNTS = {2: 2, 3: 6, 4: 8, 5: 10}
@@ -100,14 +101,19 @@ def verify_theorem2() -> dict:
     """Two-valued disjoint-additive surjections: with a zero value there
     are exactly n solutions, each inducing a principal ultrafilter and a
     connected door topology; with no zero value there are none (three or
-    more points), and exactly one on two points."""
+    more points), and exactly one on two points.  Extended by 0 at the empty
+    set, each solution is a two-valued valuation on the power set, so its
+    conclusions are `two_valued_holds` there."""
     ok = True
     details = {}
     for n in (3, 4):
         sols = enumerate_solutions(n, [ec(0), ec(1)], "eq1_disjoint", "brute")
-        reports = [verify_two_valued_additive(f) for f in sols]
+        pw = powerset(n)
         count_ok = len(sols) == n
-        all_ok = all(r["ok"] for r in reports)
+        all_ok = all(
+            satisfies_disjoint_additivity(f)[0]
+            and two_valued_holds(dict(enumerate(int_codes(extend_by_zero_at_empty(f).values))), pw)
+            for f in sols)
         ok = ok and count_ok and all_ok
         details[f"n{n}_values_0_1"] = {"solutions": len(sols), "expected": n,
                                        "all_verified": all_ok}
@@ -221,17 +227,33 @@ def two_valued_valuations(sigma: Family) -> list[dict[int, int]]:
     return [{u: int(v.re) for u, v in zip(members, f.values)} for f in sols]
 
 
+def two_valued_holds(values: dict[int, int], sigma: Family) -> bool:
+    """S1-S3 for one function from the algebra sigma onto two values, as int
+    codes keyed by every member of sigma: it is a valuation that satisfies the
+    two-valued lemma, the preimage of f(X) is an ultrafilter with respect to
+    sigma, and with the empty set it is connected door with respect to sigma,
+    and classically so when sigma is the power set."""
+    n = sigma.n
+    if len(set(values.values())) != 2 or not valuation_on_algebra(values, sigma):
+        return False
+    pre_bits = preimage(values, values, values[full_mask(n)])
+    bits = pre_bits | 1
+    return (lemma_two_valued_report(values, sigma)["ok"]
+            and filters.is_ultrafilter(Family(n, pre_bits), sigma)
+            and filters.is_connected_door_wrt(Family(n, bits), sigma)
+            and (len(sigma) != 1 << n
+                 or is_topology_bits(n, bits) and space_report(Topology(n, bits)).connected_door))
+
+
 def verify_relative() -> dict:
     """Over every block algebra on up to 4 points and every two-valued
-    valuation on it (`two_valued_valuations`): the solutions satisfy the
-    two-valued lemma, their top preimages are exactly the ultrafilters with
-    respect to the algebra, and the induced families are connected door
-    with respect to the algebra (classically so when it is the power set)."""
+    valuation on it (`two_valued_valuations`): each one passes
+    `two_valued_holds`, and their top preimages are exactly the ultrafilters
+    with respect to the algebra."""
     ok = True
     algebras = 0
     solutions = 0
     for n in range(2, 5):
-        pw = powerset(n)
         full = full_mask(n)
         for blocks in filters.partitions_of(n):
             sigma = filters.algebra_from_partition(n, blocks)
@@ -240,15 +262,8 @@ def verify_relative() -> dict:
             seen_preimages = set()
             for values in two_valued_valuations(sigma):
                 solutions += 1
-                pre_bits = preimage(values, values, values[full])
-                seen_preimages.add(pre_bits)
-                induced = Family(n, pre_bits | 1)
-                if not (valuation_on_algebra(values, sigma)
-                        and lemma_two_valued_report(values, sigma)["ok"]
-                        and filters.is_ultrafilter(Family(n, pre_bits), sigma)
-                        and filters.is_connected_door_wrt(induced, sigma)
-                        and (sigma.bits != pw.bits
-                             or space_report(validate_topology(induced)).connected_door)):
+                seen_preimages.add(preimage(values, values, values[full]))
+                if not two_valued_holds(values, sigma):
                     ok = False
             # S1 forward direction: every ultrafilter arises from a solution.
             if seen_preimages != ultras:

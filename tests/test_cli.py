@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import doorlab.search as search
+from doorlab import verify
 from doorlab.classify import UnconstructibleError, construct_topology, f_from_form
 from doorlab.cli import _descriptor_from_args, build_parser, run
 from doorlab.core import DomainError
+from doorlab.valuations import SetFunction, ec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -479,3 +481,54 @@ def test_falsified_claim_exits_1_with_witness_under_O():
         "claim_falsified": "connected-door count",
         "witness": {"n": 4, "count": 0, "expected": 8},
     }
+
+
+def test_thm2_exits_1_on_a_solution_that_is_not_additive(monkeypatch, capsys):
+    # One {0, 1} solution flipped at {0, 1} stays two-valued but is no longer
+    # disjoint additive: a falsified claim, not a domain error.
+    original = verify.enumerate_solutions
+
+    def flipped(n, values, equation, mode):
+        sols = original(n, values, equation, mode)
+        if values == [ec(0), ec(1)]:
+            vals = list(sols[0].values)
+            vals[0b011] = ec(1) - vals[0b011]
+            sols[0] = SetFunction(n, False, tuple(vals))
+        return sols
+
+    monkeypatch.setattr(verify, "enumerate_solutions", flipped)
+    assert verify.verify_theorem2()["ok"] is False
+    assert run(["verify-theorem", "--id", "thm2"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+# The first valuation on each power set becomes the cardinality function.
+CARDINALITY_FAULT = """
+from doorlab import verify
+original = verify.two_valued_valuations
+
+def with_cardinality(sigma):
+    sols = original(sigma)
+    if len(sigma) == 1 << sigma.n:
+        sols[0] = {m: m.bit_count() for m in sols[0]}
+    return sols
+"""
+
+
+def test_relative_exits_1_on_a_three_valued_valuation_under_O(monkeypatch, capsys):
+    fault: dict = {}
+    exec(CARDINALITY_FAULT, fault)
+    monkeypatch.setattr(verify, "two_valued_valuations", fault["with_cardinality"])
+    assert verify.verify_relative()["ok"] is False
+    assert run(["verify-theorem", "--id", "relative-s1-s3"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    script = CARDINALITY_FAULT + (
+        "import sys\n"
+        "verify.two_valued_valuations = with_cardinality\n"
+        "from doorlab.cli import run\n"
+        "sys.exit(run(['verify-theorem', '--id', 'relative-s1-s3']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is False

@@ -6,7 +6,6 @@ import pytest
 
 import doorlab.search as search
 import doorlab.verify as verify
-from doorlab.classify import ClassificationLabel, FormDescriptor
 from doorlab.cli import run
 from doorlab.core import (
     CAPS, ClaimFalsified, DomainError, complement_family, points_of, subsets_word,
@@ -374,8 +373,8 @@ def test_door_occ_claim_is_checked(monkeypatch):
 
 def test_point_topology_claim_exits_1_from_report(monkeypatch, capsys):
     first = next(t for t in enumerate_topologies(4)[0] if space_report(t).connected_door)
-    form3 = ClassificationLabel((FormDescriptor("Form3", a=0, b=1),))
-    monkeypatch.setattr(search, "classify_connected_door", lambda top: form3)
+    point_words = search.form_bits(4, ("ExcludedPoint", "IncludedPoint"))
+    monkeypatch.setattr(search, "form_bits", lambda n, kinds: point_words - {first.bits})
     assert run(["report", "--n", "4"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "claim_falsified": "connected door spaces are point topologies",

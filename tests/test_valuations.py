@@ -37,7 +37,6 @@ from doorlab.valuations import (
     satisfies_valuation,
     valuation_on_algebra,
     valuation_witness,
-    verify_two_valued_additive,
 )
 
 
@@ -376,32 +375,48 @@ class TestInducedFamily:
         assert points_of(induced_family(f, ec(1)).bits) == [0, 7]
 
 
+def zero_extension_codes(f):
+    """The codes of `f` extended by 0 at the empty set, keyed by every mask:
+    the form in which `verify_theorem2` hands a solution to `two_valued_holds`."""
+    return dict(enumerate(int_codes(extend_by_zero_at_empty(f).values)))
+
+
 class TestTwoValuedAdditive:
+    """Theorem 2's conclusions are `verify.two_valued_holds` on the power set."""
+
     def test_indicator_verifies(self):
         f = indicator_fn(3, 0, includes_empty=False)
-        rep = verify_two_valued_additive(f)
-        assert rep["ok"]
+        assert verify.two_valued_holds(zero_extension_codes(f), powerset(3))
 
     def test_n2_sharpness_counterexample(self):
-        vals = (EC_ZERO, ec(1), ec(1), ec(2))
-        f = SetFunction(2, False, vals)
+        # Onto {1, 2} with no zero value: its zero extension takes three values.
+        f = SetFunction(2, False, (EC_ZERO, ec(1), ec(1), ec(2)))
         assert satisfies_disjoint_additivity(f)[0]
-        with pytest.raises(DomainError, match="three points"):
-            verify_two_valued_additive(f)
+        assert not verify.two_valued_holds(zero_extension_codes(f), powerset(2))
 
-    def test_preimage_that_is_no_topology_fails(self, monkeypatch):
+    def test_preimage_that_is_no_topology_fails(self, monkeypatch, capsys):
         singletons = (1 << 0b01) | (1 << 0b10)  # with the empty set, misses {0, 1}
-        monkeypatch.setattr(valuations, "preimage", lambda *args: singletons)
-        rep = verify_two_valued_additive(indicator_fn(3, 0, includes_empty=False))
-        assert rep["induces_connected_door"] is False
-        assert rep["ok"] is False
+        monkeypatch.setattr(verify, "preimage", lambda *args: singletons)
+        f = indicator_fn(3, 0, includes_empty=False)
+        assert verify.two_valued_holds(zero_extension_codes(f), powerset(3)) is False
+        assert run(["verify-theorem", "--id", "thm2"]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    def test_power_set_case_needs_a_topology(self, monkeypatch):
+        # The classical check runs on the power set only.
+        monkeypatch.setattr(verify, "is_topology_bits", lambda n, bits: False)
+        values = {m: m & 1 for m in range(8)}
+        assert not verify.two_valued_holds(values, powerset(3))
+        sigma = algebra_from_partition(3, [0b001, 0b110])
+        assert verify.two_valued_holds({m: values[m] for m in points_of(sigma.bits)}, sigma)
 
     def test_scaling_invariance(self):
         base = indicator_fn(3, 0, includes_empty=False)
         scaled = SetFunction(
             3, False, tuple(scale(v, Fraction(3, 2)) for v in base.values))
-        rep = verify_two_valued_additive(scaled)
-        assert rep["ok"]
+        codes = zero_extension_codes(scaled)
+        assert set(codes.values()) == {0, 3}
+        assert verify.two_valued_holds(codes, powerset(3))
         assert induced_family(scaled, ec("3/2")).bits == \
             induced_family(base, ec(1)).bits
 
