@@ -174,12 +174,15 @@ class Family:
 
 def parse_family(n: int, subsets: list[list[int]]) -> Family:
     """Build a family from point lists, as decoded from JSON; duplicates
-    are collapsed."""
+    are collapsed.  A member holding a list is refused as nested too deeply,
+    whatever depth the JSON decoder reaches before its own limit."""
     check_ground(n)
     if not isinstance(subsets, list):
         raise DomainError("a family must be a list of point lists")
     bits = 0
     for pts in subsets:
+        if isinstance(pts, list) and any(type(p) is list for p in pts):
+            raise DomainError("family is nested too deeply")
         if not isinstance(pts, list) or not all(type(p) is int for p in pts):
             raise DomainError(f"family member {pts!r} is not a list of integer points")
         bits |= 1 << mask_from_points(pts, n)

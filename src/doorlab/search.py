@@ -26,7 +26,7 @@ from .valuations import (
     ExactComplex,
     SetFunction,
     ec,
-    induced_family,
+    induced_word,
     int_codes,
 )
 
@@ -245,18 +245,18 @@ def _modular_solutions(n: int, codes: list[int], first: int) -> list[tuple[int, 
     return out
 
 
-def enumerate_solutions(
+def solution_codes(
     n: int,
     values: list[ExactComplex],
     equation: str = "eq1_disjoint",
     mode: str = "brute",
-) -> list[SetFunction]:
+) -> list[tuple[int, ...]]:
     """Every function on the subsets of n points (eq2) or the nonempty ones
     (eq1_disjoint) onto `values` that solves the equation, found by one
-    route on integer codes.  Each code tuple is decoded through one table,
-    code 0 being the zero value eq1 leaves at the empty set, and the
-    solutions come in ascending order of their value tuples, each value
-    ordered by `ExactComplex.sort_key`."""
+    route as the tuple of the `int_codes` of its values by mask, code 0 at
+    the empty set for eq1.  An integer value is its own code.  The tuples
+    come in ascending order of their value tuples, each value ordered by
+    `ExactComplex.sort_key`."""
     if equation not in ("eq1_disjoint", "eq2"):
         raise CapabilityError(f"unknown equation {equation!r}")
     if len(set(values)) != len(values) or len(values) not in (2, 3):
@@ -267,9 +267,23 @@ def enumerate_solutions(
     codes = int_codes(values)
     route = _brute_solutions if mode == "brute" else _modular_solutions
     found = route(n, codes, 0 if equation == "eq2" else 1)
-    decode = {0: EC_ZERO, **dict(zip(codes, values))}
-    rank = {c: i for i, c in enumerate(sorted(decode, key=lambda c: decode[c].sort_key()))}
+    ranked = sorted([(EC_ZERO, 0), *zip(values, codes)], key=lambda p: p[0].sort_key())
+    rank = {c: i for i, (_, c) in enumerate(ranked)}
     found.sort(key=lambda t: [rank[c] for c in t])
+    return found
+
+
+def enumerate_solutions(
+    n: int,
+    values: list[ExactComplex],
+    equation: str = "eq1_disjoint",
+    mode: str = "brute",
+) -> list[SetFunction]:
+    """The solutions of `solution_codes`, in its order, each code tuple
+    decoded through one table, code 0 being the zero value eq1 leaves at
+    the empty set."""
+    found = solution_codes(n, values, equation, mode)
+    decode = {0: EC_ZERO, **dict(zip(int_codes(values), values))}
     return [SetFunction(n, equation == "eq2", tuple(decode[c] for c in t)) for t in found]
 
 
@@ -278,14 +292,13 @@ def induced_topology_survey(n: int, mode: str = "brute") -> dict:
     in {-1, 1}, either fails the axioms or lands exactly in the set of
     Form1A / Form1B / Form3 instances.  Instances needing free ultrafilters
     never appear."""
-    values = [ec(-1), ec(0), ec(1)]
-    sols = enumerate_solutions(n, values, "eq2", mode)
+    sols = solution_codes(n, [ec(-1), ec(0), ec(1)], "eq2", mode)
     realizers: dict[int, int] = {}
     for f in sols:
-        for v in (ec(1), ec(-1)):
-            fam = induced_family(f, v)
-            if is_topology_bits(n, fam.bits):
-                realizers[fam.bits] = realizers.get(fam.bits, 0) + 1
+        for v in (1, -1):
+            word = induced_word(f, v)
+            if is_topology_bits(n, word):
+                realizers[word] = realizers.get(word, 0) + 1
     induced = realizers.keys()
     expected = form_bits(n, ("Form1A", "Form1B", "Form3"))
     return {

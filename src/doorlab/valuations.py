@@ -6,7 +6,7 @@ Two identities are checked throughout:
   valuation             f(A) + f(B) = f(A|B) + f(A&B) (all A, B)
 
 Both go through `valuation_witness`: disjoint additivity is the valuation
-identity of `extend_by_zero_at_empty(f)` on the pairs with empty meet.
+identity, on the pairs with empty meet, of the codes with 0 at the empty set.
 
 Values are exact complex rationals; no floating point is used anywhere.
 They stay `ExactComplex` at the API and JSON boundary, and every identity
@@ -76,7 +76,8 @@ def ec(re, im=0) -> ExactComplex:
     return ExactComplex(Fraction(re), Fraction(im))
 
 
-# Fraction's literal grammar, "_" only between digits.
+# Python 3.11's Fraction literal grammar, "_" only between digits (Fraction
+# reads whitespace beside "/" from 3.12 on; this grammar does not).
 _DIGITS = r"\d+(?:_\d+)*"
 _LITERAL = re.compile(
     rf"\s*(?P<sign>[-+]?)(?=\.?\d)(?P<num>{_DIGITS})?(?:/(?P<den>{_DIGITS})"
@@ -218,14 +219,6 @@ def satisfies_valuation(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
     return witness is None, witness
 
 
-def satisfies_disjoint_additivity(f: SetFunction) -> tuple[bool, tuple[int, int] | None]:
-    """f(A) + f(B) = f(A|B) for disjoint nonempty A, B: the valuation
-    identity of the zero extension on the pairs with empty meet, on the
-    integer codes.  f must leave out the empty set."""
-    witness = valuation_witness(int_codes(extend_by_zero_at_empty(f).values), f.n, 1)
-    return witness is None, witness
-
-
 def modular_compose(c: ExactComplex, weights: tuple[ExactComplex, ...]) -> SetFunction:
     """f(A) = c + the weights of the points of A, on n = len(weights)
     points: f(m) = f(m minus its lowest point) + the weight of that point,
@@ -242,20 +235,10 @@ def preimage(values, members, v) -> int:
     return sum(1 << m for m in members if values[m] == v)
 
 
-def induced_family(f: SetFunction, v: ExactComplex) -> Family:
-    """{empty, X} together with the preimage of v, read on the integer codes."""
-    *codes, code = int_codes((*f.values, v))
-    return Family(f.n, 1 | (1 << full_mask(f.n)) | preimage(codes, f.domain(), code))
-
-
-def extend_by_zero_at_empty(f: SetFunction) -> SetFunction:
-    """The extension by 0 at the empty set, which takes disjoint additivity
-    to the valuation identity on disjoint pairs (`satisfies_disjoint_additivity`)."""
-    if f.includes_empty:
-        raise DomainError("function already defined on the empty set")
-    vals = list(f.values)
-    vals[0] = EC_ZERO
-    return SetFunction(f.n, True, tuple(vals))
+def induced_word(values, v) -> int:
+    """The family word of {empty, X} together with the preimage of v, for
+    `values` read at every mask of the power set (codes, or plain ints)."""
+    return 1 | 1 << (len(values) - 1) | preimage(values, range(len(values)), v)
 
 
 def classify_value_shape(values: list[ExactComplex]) -> dict:

@@ -18,6 +18,7 @@ from .search import (
     compare_with_golden,
     enumerate_solutions,
     induced_topology_survey,
+    solution_codes,
     topology_words,
 )
 from .topology import Topology, is_topology_bits, lemma1_check, occ_satisfied, space_report
@@ -27,15 +28,13 @@ from .valuations import (
     check_inclusion_exclusion3,
     classify_value_shape,
     ec,
-    extend_by_zero_at_empty,
     form1a_pair_subcase,
     increasing_filter_check,
-    induced_family,
+    induced_word,
     int_codes,
     lemma_two_valued_report,
     modular_compose,
     preimage,
-    satisfies_disjoint_additivity,
     valuation_on_algebra,
     valuation_witness,
 )
@@ -101,24 +100,23 @@ def verify_theorem2() -> dict:
     """Two-valued disjoint-additive surjections: with a zero value there
     are exactly n solutions, each inducing a principal ultrafilter and a
     connected door topology; with no zero value there are none (three or
-    more points), and exactly one on two points.  Extended by 0 at the empty
-    set, each solution is a two-valued valuation on the power set, so its
-    conclusions are `two_valued_holds` there."""
+    more points), and exactly one on two points.  With its code 0 at the
+    empty set, each solution is a two-valued valuation on the power set, so
+    its conclusions are `two_valued_holds` there."""
     ok = True
     details = {}
     for n in (3, 4):
-        sols = enumerate_solutions(n, [ec(0), ec(1)], "eq1_disjoint", "brute")
+        sols = solution_codes(n, [ec(0), ec(1)], "eq1_disjoint", "brute")
         pw = powerset(n)
         count_ok = len(sols) == n
         all_ok = all(
-            satisfies_disjoint_additivity(f)[0]
-            and two_valued_holds(dict(enumerate(int_codes(extend_by_zero_at_empty(f).values))), pw)
+            valuation_witness(f, n, 1) is None and two_valued_holds(dict(enumerate(f)), pw)
             for f in sols)
         ok = ok and count_ok and all_ok
         details[f"n{n}_values_0_1"] = {"solutions": len(sols), "expected": n,
                                        "all_verified": all_ok}
     for n, expected in ((2, 1), (3, 0), (4, 0)):
-        sols = enumerate_solutions(n, [ec(1), ec(2)], "eq1_disjoint", "brute")
+        sols = solution_codes(n, [ec(1), ec(2)], "eq1_disjoint", "brute")
         ok = ok and len(sols) == expected
         details[f"n{n}_values_1_2"] = {"solutions": len(sols), "expected": expected}
     return {"id": "thm2", "ok": ok, "details": details}
@@ -132,19 +130,18 @@ def verify_theorem4() -> dict:
     ok = True
     details: dict = {}
 
-    sols_sym = enumerate_solutions(n, [ec(-1), ec(0), ec(1)], "eq1_disjoint", "brute")
+    sols_sym = solution_codes(n, [ec(-1), ec(0), ec(1)], "eq1_disjoint", "brute")
     details["values_-1_0_1"] = len(sols_sym)
     ok = ok and len(sols_sym) == 12
     shape = classify_value_shape([ec(-1), ec(0), ec(1)])
     ok = ok and shape["shape"] == "NegZeroPos"
     t1_bits = form_bits(n, ("Form1A",))
     for f in sols_sym:
-        for v in (ec(1), ec(-1)):
-            fam = induced_family(f, v)
-            if fam.bits not in t1_bits:
+        for v in (1, -1):
+            if induced_word(f, v) not in t1_bits:
                 ok = False
 
-    sols_lad = enumerate_solutions(n, [ec(0), ec(1), ec(2)], "eq1_disjoint", "brute")
+    sols_lad = solution_codes(n, [ec(0), ec(1), ec(2)], "eq1_disjoint", "brute")
     details["values_0_1_2"] = len(sols_lad)
     ok = ok and len(sols_lad) == 6
     shape = classify_value_shape([ec(0), ec(1), ec(2)])
@@ -153,19 +150,18 @@ def verify_theorem4() -> dict:
     # it depends only on {p, q}, not on A.
     t2_bits = form_bits(n, ("T2Shape",))
     for f in sols_lad:
-        fam = induced_family(f, ec(2))
-        if fam.bits not in t2_bits:
+        if induced_word(f, 2) not in t2_bits:
             ok = False
 
     for values, key in (([ec(0), ec(1), ec(3)], "values_0_1_3"),
                         ([ec(1), ec(2), ec(3)], "values_1_2_3")):
-        sols = enumerate_solutions(n, values, "eq1_disjoint", "brute")
+        sols = solution_codes(n, values, "eq1_disjoint", "brute")
         details[key] = len(sols)
         ok = ok and len(sols) == 0
 
     # Sharpness of the four-point hypothesis: on three points the value set
     # {1, 2, 3} does admit a solution (cardinality).
-    sharp = enumerate_solutions(3, [ec(1), ec(2), ec(3)], "eq1_disjoint", "brute")
+    sharp = solution_codes(3, [ec(1), ec(2), ec(3)], "eq1_disjoint", "brute")
     details["sharpness_n3_1_2_3"] = len(sharp)
     ok = ok and len(sharp) == 1
 
@@ -201,8 +197,7 @@ def verify_part2() -> dict:
             values, designated = f_from_form(d, n)
             if valuation_witness(values, n) is not None:
                 ok = False
-            family = 1 | 1 << full_mask(n) | preimage(values, range(1 << n), designated)
-            if family != construct_topology(d, n).bits:
+            if induced_word(values, designated) != construct_topology(d, n).bits:
                 ok = False
             checked += 1
 
@@ -223,8 +218,8 @@ def two_valued_valuations(sigma: Family) -> list[dict[int, int]]:
     k atoms, so these are the modular route's valuations onto {0, 1} on k points
     (Birkhoff), read at `points_of(sigma.bits)` (order fact: `core.subsets_word`)."""
     members = points_of(sigma.bits)
-    sols = enumerate_solutions(len(members).bit_length() - 1, [ec(0), ec(1)], "eq2", "modular")
-    return [{u: int(v.re) for u, v in zip(members, f.values)} for f in sols]
+    sols = solution_codes(len(members).bit_length() - 1, [ec(0), ec(1)], "eq2", "modular")
+    return [dict(zip(members, f)) for f in sols]
 
 
 def two_valued_holds(values: dict[int, int], sigma: Family) -> bool:
@@ -295,7 +290,7 @@ def verify_remarks() -> dict:
         fs = [SetFunction(nn, True, (v,) * (1 << nn)) for v in vals]
         for vs in (vals[:2], vals[::2], vals[1:], vals):
             fs += enumerate_solutions(nn, vs, "eq2", mode)
-        for f in sorted(fs, key=lambda f: [v.re for v in f.values]):
+        for f in sorted(fs, key=lambda f: [v.sort_key() for v in f.values]):
             rep = increasing_filter_check(f)
             checked_inc += 1
             if not rep["ok"]:
@@ -335,9 +330,7 @@ def verify_infrastructure() -> dict:
     for n in (3, 4):
         for eq, values in (("eq1_disjoint", [ec(0), ec(1)]),
                            ("eq2", [ec(-1), ec(0), ec(1)])):
-            brute = enumerate_solutions(n, values, eq, "brute")
-            mod = enumerate_solutions(n, values, eq, "modular")
-            if [f.values for f in brute] != [f.values for f in mod]:
+            if solution_codes(n, values, eq, "brute") != solution_codes(n, values, eq, "modular"):
                 solutions_ok = False
     details["mode_agreement_solutions"] = solutions_ok
 

@@ -10,10 +10,10 @@ import pytest
 
 import doorlab.search as search
 from doorlab import verify
-from doorlab.classify import UnconstructibleError, construct_topology, f_from_form
+from doorlab.classify import UnconstructibleError, construct_topology, f_from_form, form_bits
 from doorlab.cli import _descriptor_from_args, build_parser, run
 from doorlab.core import DomainError
-from doorlab.valuations import SetFunction, ec
+from doorlab.valuations import ec, induced_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,6 +102,14 @@ def test_deeply_nested_family_is_usage_error(verb):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: family is nested too deeply\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "classify"])
+def test_family_member_holding_a_list_is_nested_too_deeply(capsys, verb):
+    # Refused by the parser, not by the decoder's depth limit, which
+    # differs between Python versions.
+    argv = [verb, "--n", "2", "--family", "[[[0]]]"]
+    assert capture(capsys, argv) == (2, "", "error: family is nested too deeply\n")
 
 
 def test_classify_form3(capsys):
@@ -486,19 +494,75 @@ def test_falsified_claim_exits_1_with_witness_under_O():
 def test_thm2_exits_1_on_a_solution_that_is_not_additive(monkeypatch, capsys):
     # One {0, 1} solution flipped at {0, 1} stays two-valued but is no longer
     # disjoint additive: a falsified claim, not a domain error.
-    original = verify.enumerate_solutions
+    original = verify.solution_codes
 
     def flipped(n, values, equation, mode):
         sols = original(n, values, equation, mode)
         if values == [ec(0), ec(1)]:
-            vals = list(sols[0].values)
-            vals[0b011] = ec(1) - vals[0b011]
-            sols[0] = SetFunction(n, False, tuple(vals))
+            codes = list(sols[0])
+            codes[0b011] = 1 - codes[0b011]
+            sols[0] = tuple(codes)
         return sols
 
-    monkeypatch.setattr(verify, "enumerate_solutions", flipped)
+    monkeypatch.setattr(verify, "solution_codes", flipped)
     assert verify.verify_theorem2()["ok"] is False
     assert run(["verify-theorem", "--id", "thm2"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+# The first {-1, 0, 1} solution of thm4 with its first nonzero code negated:
+# it keeps its count, but its induced word at 1 is no Form1A word.
+NEGATED_FAULT = """
+from doorlab import verify
+from doorlab.valuations import ec
+original = verify.solution_codes
+
+def negated(n, values, equation, mode):
+    sols = original(n, values, equation, mode)
+    if values == [ec(-1), ec(0), ec(1)]:
+        f = list(sols[0])
+        m = next(m for m, c in enumerate(f) if c)
+        f[m] = -f[m]
+        sols[0] = tuple(f)
+    return sols
+"""
+
+
+def test_thm4_exits_1_on_a_solution_with_no_form1a_word_under_O(monkeypatch, capsys):
+    fault: dict = {}
+    exec(NEGATED_FAULT, fault)
+    first = fault["negated"](4, [ec(-1), ec(0), ec(1)], "eq1_disjoint", "brute")[0]
+    assert induced_word(first, 1) not in form_bits(4, ("Form1A",))
+    monkeypatch.setattr(verify, "solution_codes", fault["negated"])
+    assert verify.verify_theorem4()["ok"] is False
+    assert run(["verify-theorem", "--id", "thm4"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    script = NEGATED_FAULT + (
+        "import sys\n"
+        "verify.solution_codes = negated\n"
+        "from doorlab.cli import run\n"
+        "sys.exit(run(['verify-theorem', '--id', 'thm4']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is False
+
+
+def test_thm3_exits_1_when_the_two_routes_disagree(monkeypatch, capsys):
+    # The brute scan on four points loses its last solution: the modular
+    # route's count no longer matches it.
+    original = search.solution_codes
+
+    def short(n, values, equation, mode):
+        sols = original(n, values, equation, mode)
+        return sols[:-1] if (n, mode) == (4, "brute") else sols
+
+    monkeypatch.setattr(search, "solution_codes", short)
+    report = verify.verify_theorem3()
+    assert report["ok"] is False
+    assert report["cross_check"]["n4"] == report["n4"]["solutions"] - 1
+    assert run(["verify-theorem", "--id", "thm3"]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 

@@ -19,6 +19,7 @@ from doorlab.search import (
     enumerate_topologies,
     induced_topology_survey,
     load_golden,
+    solution_codes,
     _closure_dfs,
     _raw_scan,
 )
@@ -438,6 +439,26 @@ class TestSolutions:
     def test_brute_cap(self):
         with pytest.raises(CapabilityError):
             enumerate_solutions(5, [ec(0), ec(1)], "eq1_disjoint", "brute")
+
+
+@pytest.mark.parametrize("mode", ["brute", "modular"])
+@pytest.mark.parametrize("equation", ["eq1_disjoint", "eq2"])
+@pytest.mark.parametrize("values", [
+    [ec(0), ec(1)], [ec(1), ec(2)], [ec(-1), ec(0), ec(1)], [ec(0), ec(1), ec(2)],
+    [ec(0), ec(1), ec(3)], [ec(1), ec(2), ec(3)], [ec(0), ec(1, 1), ec(2, 2)],
+], ids=["0,1", "1,2", "-1,0,1", "0,1,2", "0,1,3", "1,2,3", "0,1+i,2+2i"])
+def test_solution_codes_decode_to_enumerate_solutions(values, equation, mode):
+    # The verifiers read the code tuples: decoded, they are the solutions in
+    # the same order, and an integer value set comes back as its own ints,
+    # with 0 at the empty set for eq1.
+    decode = {0: EC_ZERO, **dict(zip(int_codes(values), values))}
+    for n in (2, 3, 4):
+        codes = solution_codes(n, values, equation, mode)
+        sols = enumerate_solutions(n, values, equation, mode)
+        assert [tuple(decode[c] for c in t) for t in codes] == [f.values for f in sols]
+        if all(v.im == 0 and v.re.denominator == 1 for v in values):
+            assert codes == [tuple(int(v.re) for v in f.values) for f in sols]
+            assert equation == "eq2" or all(t[0] == 0 for t in codes)
 
 
 def reference_modular_solutions(n, values, equation):

@@ -24,16 +24,14 @@ from doorlab.valuations import (
     check_inclusion_exclusion3,
     classify_value_shape,
     ec,
-    extend_by_zero_at_empty,
     form1a_pair_subcase,
     increasing_filter_check,
-    induced_family,
+    induced_word,
     int_codes,
     lemma_two_valued_report,
     modular_compose,
     parse_value,
     preimage,
-    satisfies_disjoint_additivity,
     satisfies_valuation,
     valuation_on_algebra,
     valuation_witness,
@@ -72,8 +70,12 @@ def exact_f_from_form(d, n):
 
 def check_reads_like_fraction(text):
     """A literal Fraction reads parses to the same value, and one it refuses
-    is refused as unparseable."""
+    is refused as unparseable.  The grammar is Python 3.11's: from 3.12 on
+    Fraction also reads whitespace beside "/", which the parser refuses on
+    every version."""
     try:
+        if re.search(r"\s/|/\s", text):
+            raise ValueError("whitespace beside /")
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(DomainError, match="cannot parse"):
@@ -272,40 +274,47 @@ class TestValuation:
         assert satisfies_valuation(f) == reference_satisfies_valuation(f)
 
 
+def zero_extension_codes(f):
+    """The codes of `f`'s values by mask with 0 at the empty set, whatever
+    f holds there: the form in which the eq1 scan hands a solution to
+    `verify_theorem2`.  Disjoint additivity is `valuation_witness` on them
+    with meets {empty}."""
+    return int_codes((EC_ZERO, *f.values[1:]))
+
+
 class TestDisjointAdditivity:
     def test_weight_sums(self):
         for ws in ((1, 2, 3), (0, -1, 5)):
             vals = tuple(
                 ec(sum(w for x, w in enumerate(ws) if (m >> x) & 1))
                 for m in range(8))
-            assert satisfies_disjoint_additivity(SetFunction(3, False, vals))[0]
+            codes = zero_extension_codes(SetFunction(3, False, vals))
+            assert valuation_witness(codes, 3, 1) is None
 
     def test_indicator_all_nine_pairs(self):
-        assert satisfies_disjoint_additivity(indicator_fn(3, 0, False))[0]
+        assert valuation_witness(zero_extension_codes(indicator_fn(3, 0, False)), 3, 1) is None
 
     def test_constant_one_fails(self):
         vals = tuple(ec(1) for _ in range(4))
-        ok, witness = satisfies_disjoint_additivity(SetFunction(2, False, vals))
-        assert not ok and witness == (0b01, 0b10)
+        witness = valuation_witness(zero_extension_codes(SetFunction(2, False, vals)), 2, 1)
+        assert witness == (0b01, 0b10)
 
     @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(False),
                                   constant=st.one_of(st.just(EC_ZERO), GAUSSIAN_RATIONALS)))
     def test_gaussian_rationals_match_reference_loop(self, f):
-        assert satisfies_disjoint_additivity(f) == reference_disjoint_additivity(f)
+        witness = valuation_witness(zero_extension_codes(f), f.n, 1)
+        assert (witness is None, witness) == reference_disjoint_additivity(f)
 
     @given(near_modular_functions(GAUSSIAN_RATIONALS, includes_empty=st.just(False),
                                   constant=st.one_of(st.just(EC_ZERO), GAUSSIAN_RATIONALS)),
            GAUSSIAN_RATIONALS.filter(lambda v: not v.is_zero))
     def test_is_the_valuation_identity_of_the_zero_extension(self, f, slot0):
         # Slot 0 lies outside the domain; a nonzero value there must not
-        # reach the check, which reads the zero extension.
+        # reach the check, which reads the codes with 0 at the empty set.
         f = SetFunction(f.n, False, (slot0,) + f.values[1:])
-        assert (satisfies_disjoint_additivity(f)[0]
-                == satisfies_valuation(extend_by_zero_at_empty(f))[0])
-
-    def test_refuses_a_function_defined_at_the_empty_set(self):
-        with pytest.raises(DomainError, match="already defined on the empty set"):
-            satisfies_disjoint_additivity(cardinality_fn(3))
+        zero_extension = SetFunction(f.n, True, (EC_ZERO,) + f.values[1:])
+        assert ((valuation_witness(zero_extension_codes(f), f.n, 1) is None)
+                == satisfies_valuation(zero_extension)[0])
 
 
 class TestModular:
@@ -331,11 +340,9 @@ class TestModular:
         f = modular_compose(ec(0), weights)
         assert satisfies_valuation(f)[0]
         # Disjoint additivity holds exactly when the constant term is zero.
-        assert satisfies_disjoint_additivity(
-            SetFunction(3, False, f.values))[0]
+        assert valuation_witness(zero_extension_codes(f), 3, 1) is None
         shifted = modular_compose(ec(2), weights)
-        assert not satisfies_disjoint_additivity(
-            SetFunction(3, False, shifted.values))[0]
+        assert valuation_witness(zero_extension_codes(shifted), 3, 1) is not None
 
     def test_mutual_inverse_exhaustive_n3(self):
         # Brute scan over all {-1,0,1}-valued functions equals the modular
@@ -357,28 +364,27 @@ class TestModular:
 
 
 class TestInducedFamily:
+    """`induced_word` on the codes of a function's values and of v."""
+
     def test_form1_function(self):
         f = modular_compose(ec(0), (ec(-1), ec(1), ec(0)))
-        fam = induced_family(f, ec(1))
-        assert fam.to_subsets() == [[], [1], [1, 2], [0, 1, 2]]
+        *codes, one = int_codes((*f.values, ec(1)))
+        word = induced_word(codes, one)
+        assert points_of(word) == [0b000, 0b010, 0b110, 0b111]
         from doorlab.topology import is_topology_bits
-        assert is_topology_bits(3, fam.bits)
+        assert is_topology_bits(3, word)
         # The zero preimage happens to be the partition family
         # {empty, {0,1}, {2}, X}, a valid topology; the axiom check
         # decides mechanically either way.
-        zero_fam = induced_family(f, ec(0))
-        assert points_of(zero_fam.bits) == [0b000, 0b011, 0b100, 0b111]
-        assert is_topology_bits(3, zero_fam.bits)
+        *codes, zero = int_codes((*f.values, ec(0)))
+        zero_word = induced_word(codes, zero)
+        assert points_of(zero_word) == [0b000, 0b011, 0b100, 0b111]
+        assert is_topology_bits(3, zero_word)
 
     def test_empty_preimage(self):
         f = modular_compose(ec(0), (EC_ZERO,) * 3)
-        assert points_of(induced_family(f, ec(1)).bits) == [0, 7]
-
-
-def zero_extension_codes(f):
-    """The codes of `f` extended by 0 at the empty set, keyed by every mask:
-    the form in which `verify_theorem2` hands a solution to `two_valued_holds`."""
-    return dict(enumerate(int_codes(extend_by_zero_at_empty(f).values)))
+        *codes, one = int_codes((*f.values, ec(1)))
+        assert points_of(induced_word(codes, one)) == [0, 7]
 
 
 class TestTwoValuedAdditive:
@@ -386,19 +392,20 @@ class TestTwoValuedAdditive:
 
     def test_indicator_verifies(self):
         f = indicator_fn(3, 0, includes_empty=False)
-        assert verify.two_valued_holds(zero_extension_codes(f), powerset(3))
+        assert verify.two_valued_holds(dict(enumerate(zero_extension_codes(f))), powerset(3))
 
     def test_n2_sharpness_counterexample(self):
         # Onto {1, 2} with no zero value: its zero extension takes three values.
-        f = SetFunction(2, False, (EC_ZERO, ec(1), ec(1), ec(2)))
-        assert satisfies_disjoint_additivity(f)[0]
-        assert not verify.two_valued_holds(zero_extension_codes(f), powerset(2))
+        codes = zero_extension_codes(SetFunction(2, False, (EC_ZERO, ec(1), ec(1), ec(2))))
+        assert valuation_witness(codes, 2, 1) is None
+        assert not verify.two_valued_holds(dict(enumerate(codes)), powerset(2))
 
     def test_preimage_that_is_no_topology_fails(self, monkeypatch, capsys):
         singletons = (1 << 0b01) | (1 << 0b10)  # with the empty set, misses {0, 1}
         monkeypatch.setattr(verify, "preimage", lambda *args: singletons)
         f = indicator_fn(3, 0, includes_empty=False)
-        assert verify.two_valued_holds(zero_extension_codes(f), powerset(3)) is False
+        codes = dict(enumerate(zero_extension_codes(f)))
+        assert verify.two_valued_holds(codes, powerset(3)) is False
         assert run(["verify-theorem", "--id", "thm2"]) == 1
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
@@ -415,10 +422,11 @@ class TestTwoValuedAdditive:
         scaled = SetFunction(
             3, False, tuple(scale(v, Fraction(3, 2)) for v in base.values))
         codes = zero_extension_codes(scaled)
-        assert set(codes.values()) == {0, 3}
-        assert verify.two_valued_holds(codes, powerset(3))
-        assert induced_family(scaled, ec("3/2")).bits == \
-            induced_family(base, ec(1)).bits
+        assert set(codes) == {0, 3}
+        assert verify.two_valued_holds(dict(enumerate(codes)), powerset(3))
+        *scaled_codes, three_halves = int_codes((*scaled.values, ec("3/2")))
+        *base_codes, one = int_codes((*base.values, ec(1)))
+        assert induced_word(scaled_codes, three_halves) == induced_word(base_codes, one)
 
 
 class TestValueShape:
@@ -459,7 +467,8 @@ class TestFFromForm:
         for m in range(16):
             assert f.values[m] == ec((m & 0b0011).bit_count() - 1)
         top = construct_topology(FormDescriptor("Form3", a=0, b=1), 4)
-        assert induced_family(f, designated).bits == top.bits
+        *codes, code = int_codes((*f.values, designated))
+        assert induced_word(codes, code) == top.bits
 
     def test_form1b_shares_form3_function(self):
         f1b, d1b = exact_f_from_form(FormDescriptor("Form1B", a=0, seed=1), 4)
@@ -575,16 +584,17 @@ def part2_verdicts(d, n):
     """`verify_part2`'s two checks of one descriptor, on the integer values:
     (is a valuation, induced family is the constructed word)."""
     values, designated = f_from_form(d, n)
-    family = 1 | 1 << ((1 << n) - 1) | preimage(values, range(1 << n), designated)
-    return valuation_witness(values, n) is None, family == construct_topology(d, n).bits
+    return (valuation_witness(values, n) is None,
+            induced_word(values, designated) == construct_topology(d, n).bits)
 
 
 def reference_part2_verdicts(d, n):
     """The same two checks on the code-read `SetFunction`, through
-    `satisfies_valuation` and `induced_family`."""
+    `satisfies_valuation` and `induced_word` on its codes."""
     f, designated = code_read_f_from_form(d, n)
+    *codes, code = int_codes((*f.values, designated))
     return (satisfies_valuation(f)[0],
-            induced_family(f, designated).bits == construct_topology(d, n).bits)
+            induced_word(codes, code) == construct_topology(d, n).bits)
 
 
 def test_f_from_form_matches_reference_branches():
@@ -670,14 +680,13 @@ class TestIntCodes:
         naive = SetFunction(2, True, tuple(ec(v.re + v.im) for v in values))
         assert naive.values == indicator_fn(2, 0).values
         assert satisfies_valuation(naive)[0]
-        assert satisfies_disjoint_additivity(SetFunction(2, False, naive.values))[0]
+        assert valuation_witness(zero_extension_codes(naive), 2, 1) is None
         assert ie3(naive)
 
         assert int_codes(values) == [0, 1, 0, 23]
         f = SetFunction(2, True, values)
         assert satisfies_valuation(f) == (False, (0b01, 0b10))
-        assert satisfies_disjoint_additivity(
-            SetFunction(2, False, values)) == (False, (0b01, 0b10))
+        assert valuation_witness(zero_extension_codes(f), 2, 1) == (0b01, 0b10)
         assert not ie3(f)
 
     def test_common_denominator(self):
@@ -795,13 +804,6 @@ class TestHomogeneity:
         f = modular_compose(ec(0), (ec(1), ec(-1), ec(2)))
         scaled = SetFunction(3, True, tuple(scale(v, lam) for v in f.values))
         assert satisfies_valuation(scaled)[0]
-
-
-def test_extend_by_zero_at_empty():
-    f = indicator_fn(3, 0, includes_empty=False)
-    g = extend_by_zero_at_empty(f)
-    assert g.includes_empty and g.values[0] == EC_ZERO
-    assert satisfies_valuation(g)[0]
 
 
 def test_set_function_constructor_and_json():
@@ -1005,8 +1007,16 @@ def test_ie3_matches_triple_loop():
 
 
 def value_preimage_family(f, v):
-    """`induced_family` by `ExactComplex` equality, the route before the codes."""
+    """The induced family's word by `ExactComplex` equality, the route before
+    the codes."""
     return 1 | (1 << ((1 << f.n) - 1)) | preimage(f.values, f.domain(), v)
+
+
+def coded_induced_word_matches(f, v):
+    """`induced_word` on the codes of f's values and of v, against the
+    `ExactComplex` equality route."""
+    *codes, code = int_codes((*f.values, v))
+    return induced_word(codes, code) == value_preimage_family(f, v)
 
 
 def test_induced_family_matches_value_equality_preimage():
@@ -1014,7 +1024,7 @@ def test_induced_family_matches_value_equality_preimage():
         for d in descriptors(n, VALID_KINDS):
             f, designated = exact_f_from_form(d, n)
             for v in {designated, ec(7), *f.values}:
-                assert induced_family(f, v).bits == value_preimage_family(f, v)
+                assert coded_induced_word_matches(f, v)
     # The solutions thm3 and thm4 read.
     for n, values, eq, mode in ((3, (-1, 0, 1), "eq2", "brute"),
                                 (4, (-1, 0, 1), "eq2", "modular"),
@@ -1022,10 +1032,10 @@ def test_induced_family_matches_value_equality_preimage():
                                 (4, (0, 1, 2), "eq1_disjoint", "brute")):
         for f in enumerate_solutions(n, [ec(x) for x in values], eq, mode):
             for v in (*map(ec, values), ec(-2)):
-                assert induced_family(f, v).bits == value_preimage_family(f, v)
+                assert coded_induced_word_matches(f, v)
 
 
 @given(near_modular_functions(GAUSSIAN_RATIONALS), GAUSSIAN_RATIONALS)
 def test_induced_family_matches_value_equality_on_gaussian_rationals(f, v):
     for w in (v, *f.values):
-        assert induced_family(f, w).bits == value_preimage_family(f, w)
+        assert coded_induced_word_matches(f, w)
