@@ -78,14 +78,18 @@ def is_ultrafilter(fam: Family, sigma: Family) -> bool:
 
 def enumerate_ultrafilters(sigma: Family) -> list[Family]:
     """All ultrafilters with respect to sigma: the principal one at each
-    atom (block), in `atoms_of_algebra` order."""
+    atom (block), in `atoms_of_algebra` order.  Only that each one is an
+    ultrafilter is checked here.  Completeness, that every ultrafilter on a
+    finite algebra is principal, is the classical fact that "exactly the
+    ultrafilters" in `verify_relative` relies on; the tests check it by
+    brute scan."""
     if not is_algebra(sigma):
         raise DomainError("family is not an algebra")
     out = []
     for atom in atoms_of_algebra(sigma):
         u = Family(sigma.n, sigma.bits & supersets_word(sigma.n, atom))
         if not is_ultrafilter(u, sigma):
-            raise ClaimFalsified("ultrafilters on a finite algebra are principal",
+            raise ClaimFalsified("the principal filter at each atom is an ultrafilter",
                                  {"sigma": sigma.to_subsets(), "atom": points_of(atom)})
         out.append(u)
     return out

@@ -109,9 +109,7 @@ def verify_theorem2() -> dict:
         sols = solution_codes(n, [ec(0), ec(1)], "eq1_disjoint", "brute")
         pw = powerset(n)
         count_ok = len(sols) == n
-        all_ok = all(
-            valuation_witness(f, n, 1) is None and two_valued_holds(dict(enumerate(f)), pw)
-            for f in sols)
+        all_ok = all(two_valued_holds(dict(enumerate(f)), pw) for f in sols)
         ok = ok and count_ok and all_ok
         details[f"n{n}_values_0_1"] = {"solutions": len(sols), "expected": n,
                                        "all_verified": all_ok}
@@ -126,45 +124,26 @@ def verify_theorem4() -> dict:
     """Three-valued disjoint-additive surjections on four points exist only
     for value sets shaped {-z, 0, z} or {0, z, 2z}; induced topologies are
     the single-ultrafilter and two-ultrafilter-union shapes."""
-    n = 4
     ok = True
     details: dict = {}
-
-    sols_sym = solution_codes(n, [ec(-1), ec(0), ec(1)], "eq1_disjoint", "brute")
-    details["values_-1_0_1"] = len(sols_sym)
-    ok = ok and len(sols_sym) == 12
-    shape = classify_value_shape([ec(-1), ec(0), ec(1)])
-    ok = ok and shape["shape"] == "NegZeroPos"
-    t1_bits = form_bits(n, ("Form1A",))
-    for f in sols_sym:
-        for v in (1, -1):
-            if induced_word(f, v) not in t1_bits:
-                ok = False
-
-    sols_lad = solution_codes(n, [ec(0), ec(1), ec(2)], "eq1_disjoint", "brute")
-    details["values_0_1_2"] = len(sols_lad)
-    ok = ok and len(sols_lad) == 6
-    shape = classify_value_shape([ec(0), ec(1), ec(2)])
-    ok = ok and shape["shape"] == "ZeroZ2Z"
-    # A T2Shape topology is C({p, q}, {p, q}), the word of Form1B at {p, q}:
-    # it depends only on {p, q}, not on A.
-    t2_bits = form_bits(n, ("T2Shape",))
-    for f in sols_lad:
-        if induced_word(f, 2) not in t2_bits:
-            ok = False
-
-    for values, key in (([ec(0), ec(1), ec(3)], "values_0_1_3"),
-                        ([ec(1), ec(2), ec(3)], "values_1_2_3")):
-        sols = solution_codes(n, values, "eq1_disjoint", "brute")
+    # One row per value set: (key, n, values, shape, count, kinds, at), where
+    # each solution's induced word at every value in `at` is a word of `kinds`.
+    # A T2Shape topology is C({p, q}, {p, q}), the word of Form1B at {p, q}: it
+    # depends only on {p, q}, not on A.  The last row is the sharpness of the
+    # four-point hypothesis: on three points the value set {1, 2, 3} does
+    # admit a solution (cardinality).
+    for key, n, values, shape, count, kinds, at in (
+            ("values_-1_0_1", 4, (-1, 0, 1), "NegZeroPos", 12, ("Form1A",), (1, -1)),
+            ("values_0_1_2", 4, (0, 1, 2), "ZeroZ2Z", 6, ("T2Shape",), (2,)),
+            ("values_0_1_3", 4, (0, 1, 3), "Other", 0, (), ()),
+            ("values_1_2_3", 4, (1, 2, 3), "Other", 0, (), ()),
+            ("sharpness_n3_1_2_3", 3, (1, 2, 3), "Other", 1, (), ())):
+        codes = [ec(v) for v in values]
+        sols = solution_codes(n, codes, "eq1_disjoint", "brute")
         details[key] = len(sols)
-        ok = ok and len(sols) == 0
-
-    # Sharpness of the four-point hypothesis: on three points the value set
-    # {1, 2, 3} does admit a solution (cardinality).
-    sharp = solution_codes(3, [ec(1), ec(2), ec(3)], "eq1_disjoint", "brute")
-    details["sharpness_n3_1_2_3"] = len(sharp)
-    ok = ok and len(sharp) == 1
-
+        words = form_bits(n, kinds)
+        ok = (ok and classify_value_shape(codes)["shape"] == shape and len(sols) == count
+              and all(induced_word(f, v) in words for f in sols for v in at))
     return {"id": "thm4", "ok": ok, "details": details}
 
 
@@ -173,17 +152,15 @@ def verify_theorem3() -> dict:
     exactly the Form1A / Form1B / Form3 instances; no free-ultrafilter
     form appears.  Checked by full scan on three points and by the modular
     route (with brute cross-check) on four."""
-    s3_brute = induced_topology_survey(3, "brute")
-    s3_mod = induced_topology_survey(3, "modular")
-    s4_mod = induced_topology_survey(4, "modular")
-    s4_brute = induced_topology_survey(4, "brute")
-    ok = all(s["matches_forms"] and s["form2_instances"] == 0
-             for s in (s3_brute, s3_mod, s4_mod, s4_brute))
-    ok = ok and s3_brute["solutions"] == s3_mod["solutions"]
-    ok = ok and s4_brute["solutions"] == s4_mod["solutions"]
+    surveys = {(n, mode): induced_topology_survey(n, mode)
+               for n in (3, 4) for mode in ("brute", "modular")}
+    ok = all(s["matches_forms"] and s["form2_instances"] == 0 for s in surveys.values())
+    ok = ok and all(surveys[n, "brute"]["solutions"] == surveys[n, "modular"]["solutions"]
+                    for n in (3, 4))
     return {"id": "thm3", "ok": ok,
-            "n3": s3_brute, "n4": s4_mod,
-            "cross_check": {"n3": s3_mod["solutions"], "n4": s4_brute["solutions"]}}
+            "n3": surveys[3, "brute"], "n4": surveys[4, "modular"],
+            "cross_check": {"n3": surveys[3, "modular"]["solutions"],
+                            "n4": surveys[4, "brute"]["solutions"]}}
 
 
 def verify_part2() -> dict:

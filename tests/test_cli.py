@@ -4,10 +4,12 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import doorlab.filters as filters
 import doorlab.search as search
 from doorlab import verify
 from doorlab.classify import UnconstructibleError, construct_topology, f_from_form, form_bits
@@ -549,6 +551,36 @@ def test_thm4_exits_1_on_a_solution_with_no_form1a_word_under_O(monkeypatch, cap
     assert json.loads(proc.stdout)["ok"] is False
 
 
+def test_thm4_exits_1_when_the_symmetric_values_are_not_shaped(monkeypatch, capsys):
+    original = verify.classify_value_shape
+
+    def other(values):
+        return {"shape": "Other"} if values == [ec(-1), ec(0), ec(1)] else original(values)
+
+    monkeypatch.setattr(verify, "classify_value_shape", other)
+    assert verify.verify_theorem4()["ok"] is False
+    assert run(["verify-theorem", "--id", "thm4"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_thm4_exits_1_when_a_t2shape_word_is_missing(monkeypatch, capsys):
+    # The least T2Shape word on four points is induced at 2 by a {0, 1, 2}
+    # solution; without it that solution's word is no T2Shape word.
+    original = verify.form_bits
+    dropped = min(form_bits(4, ("T2Shape",)))
+    sols = search.solution_codes(4, [ec(0), ec(1), ec(2)], "eq1_disjoint", "brute")
+    assert dropped in {induced_word(f, 2) for f in sols}
+
+    def short(n, kinds):
+        words = original(n, kinds)
+        return words - {dropped} if (n, kinds) == (4, ("T2Shape",)) else words
+
+    monkeypatch.setattr(verify, "form_bits", short)
+    assert verify.verify_theorem4()["ok"] is False
+    assert run(["verify-theorem", "--id", "thm4"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_thm3_exits_1_when_the_two_routes_disagree(monkeypatch, capsys):
     # The brute scan on four points loses its last solution: the modular
     # route's count no longer matches it.
@@ -596,3 +628,67 @@ def test_relative_exits_1_on_a_three_valued_valuation_under_O(monkeypatch, capsy
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["ok"] is False
+
+
+def test_relative_names_the_principal_filter_claim(monkeypatch, capsys):
+    monkeypatch.setattr(filters, "is_ultrafilter", lambda fam, sigma: False)
+    assert run(["verify-theorem", "--id", "relative-s1-s3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["claim_falsified"] == "the principal filter at each atom is an ultrafilter"
+    assert set(out["witness"]) == {"sigma", "atom"}
+
+
+# One fault per verifier without a test above: (module attribute of `verify`,
+# wrapper of the real function).  Each breaks one sub-check of its verifier.
+def doubled_labels_on_three_points(original):
+    def patched(t):
+        lab = original(t)
+        return replace(lab, labels=lab.labels * 2) if t.n == 3 else lab
+    return patched
+
+
+def lemma1_fails_on_five_points(original):
+    return lambda t: (False, (1, 2, 0)) if t.n == 5 else original(t)
+
+
+def last_occ_door_word_dropped_on_five_points(original):
+    def patched(n, *args):
+        rep, lists = original(n, *args)
+        if n == 5:
+            lists = {**lists, "occ_door": lists["occ_door"][:-1]}
+        return rep, lists
+    return patched
+
+
+def ie3_negated_on_the_zero_function(original):
+    return lambda n, codes: original(n, codes) != (not any(codes))
+
+
+def last_closure_dfs_word_dropped_on_four_points(original):
+    def patched(n, mode="auto"):
+        words, rep = original(n, mode)
+        return (words[:-1] if (n, mode) == (4, "closure_dfs") else words), rep
+    return patched
+
+
+VERIFIER_FAULTS = {
+    "thm1-classification": ("classify_connected_door", doubled_labels_on_three_points),
+    "lemmas-1-2": ("lemma1_check", lemma1_fails_on_five_points),
+    "occ-converse": ("census", last_occ_door_word_dropped_on_five_points),
+    "remarks": ("check_inclusion_exclusion3", ie3_negated_on_the_zero_function),
+    "infrastructure": ("topology_words", last_closure_dfs_word_dropped_on_four_points),
+}
+
+
+@pytest.mark.parametrize("vid", sorted(VERIFIER_FAULTS))
+def test_verifier_exits_1_on_an_injected_fault(monkeypatch, capsys, vid):
+    name, wrap = VERIFIER_FAULTS[vid]
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    assert verify.VERIFIERS[vid]()["ok"] is False
+    assert run(["verify-theorem", "--id", vid]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_every_verifier_has_a_fault_test():
+    tested = {"thm2", "thm4", "thm3", "part2-constructions", "relative-s1-s3"}
+    assert tested | set(VERIFIER_FAULTS) == set(verify.VERIFIERS)
