@@ -183,7 +183,7 @@ def descriptors(n: int, kinds: tuple[str, ...]) -> list[FormDescriptor]:
 def form_bits(n: int, kinds: tuple[str, ...]) -> set[int]:
     """The family words of the constructible instances of `kinds` on n
     points, one per distinct topology."""
-    return {construct_topology(d, n).bits for d in descriptors(n, kinds)}
+    return {form_word(d, n) for d in descriptors(n, kinds)}
 
 
 def _matching(top: Topology, kinds: tuple[str, ...]) -> tuple[FormDescriptor, ...]:

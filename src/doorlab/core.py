@@ -8,6 +8,7 @@ mask.  CAPS["ground set"] bounds n and so the width of every family word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -97,6 +98,19 @@ def supersets_word(n: int, s: int) -> int:
     Each superset is s | c for one c disjoint from s, and then s | c = s + c,
     so the word is the subset word of the complement of s shifted up by s."""
     return subsets_word(full_mask(n) & ~s) << s
+
+
+@cache
+def _lanes(n: int) -> tuple[int, ...]:
+    """The word of the sets holding x, for each point x of n points."""
+    return tuple(supersets_word(n, 1 << x) for x in range(n))
+
+
+def least_members(n: int, word: int) -> list[int]:
+    """U_x for each point x, the lowest set bit of `word & lanes[x]`: in a
+    family closed under meets that covers the points, U_x lies within every
+    member holding x, so it is the numerically least one."""
+    return [((w := word & lane) & -w).bit_length() - 1 for lane in _lanes(n)]
 
 
 def lattice_witness(bits: int) -> tuple[str, int, int] | None:

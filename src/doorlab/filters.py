@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .core import (
     ClaimFalsified, DomainError, Family, check_ground, complement_family, full_mask,
-    lattice_witness, points_of, subsets_word, supersets_word)
+    lattice_witness, least_members, points_of, supersets_word)
 
 
 def is_algebra(fam: Family) -> bool:
@@ -46,10 +46,9 @@ def algebra_from_partition(n: int, blocks: Sequence[int]) -> Family:
 
 
 def atoms_of_algebra(sigma: Family) -> list[int]:
-    """Minimal nonempty members; these are the partition blocks.  A member
-    m is minimal when it is the only nonempty member of sigma inside m."""
-    return [m for m in points_of(sigma.bits & ~1)
-            if sigma.bits & subsets_word(m) & ~1 == 1 << m]
+    """The atoms of the algebra sigma, ascending: its partition blocks, which
+    are the distinct least members U_x of its points."""
+    return sorted(set(least_members(sigma.n, sigma.bits)))
 
 
 def is_filter(fam: Family, sigma: Family) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 from .classify import form_bits
 from .core import (
     CAPS, CapabilityError, ClaimFalsified, check_cap, complement_family,
-    full_mask, points_of, subsets_word, supersets_word)
+    full_mask, least_members, points_of, subsets_word, supersets_word)
 from .topology import (
     Topology,
     is_topology_bits,
@@ -106,16 +106,10 @@ def _closure_dfs(n: int, door_traces: bool = False) -> tuple[list[int], int]:
         sup = [supersets_word(k, m) << shift for m in range(shift)]
         for t in words:
             opens, high = points_of(t), t << shift
-            # U_x is the numerically least member holding x; caps[s] is the meet of U_x, x in s.
-            mins, covered = [0] * k, 0
-            for m in opens:
-                for x in points_of(m & ~covered):
-                    mins[x] = m
-                if (covered := covered | m) == full:
-                    break
+            # caps[s] is the meet of the U_x for the points x of s.
             caps = [full]
-            for x in range(k):
-                caps += [c & mins[x] for c in caps]
+            for least in least_members(k, t):
+                caps += [c & least for c in caps]
             build = not last or t | complement_family(k, t) == every
             for u in opens:
                 cap = caps[full & ~u]

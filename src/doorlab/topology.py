@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .core import (
     CAPS, SUBSET_ORDER, ClaimFalsified, Family, complement_family, full_mask,
-    lattice_witness, points_of, subsets_word)
+    lattice_witness, least_members, points_of, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -122,18 +122,16 @@ def space_report(top: Topology) -> SpaceReport:
                           o & singles, c & singles, clopen_proper)
 
 
+@cache
+def _subset_rank(n: int) -> dict[int, int]:
+    return {m: i for i, m in enumerate(SUBSET_ORDER[n])}
+
+
 def _least_sets(n: int, word: int) -> list[int]:
-    """The least members of `word` holding each point, in `SUBSET_ORDER`: those
-    holding a point that no earlier one holds.  Each set of an OCC witness
-    shrinks to a least set that comes no later, so the first witness is of these."""
-    least, covered, full = [], 0, full_mask(n)
-    for m in SUBSET_ORDER[n]:
-        if (word >> m) & 1 and m & ~covered:
-            least.append(m)
-            covered |= m
-            if covered == full:
-                break
-    return least
+    """The distinct least members U_x of `word`, in `SUBSET_ORDER`.  Each set
+    of an OCC witness shrinks to a least set that comes no later, so the
+    first witness is of these."""
+    return sorted(set(least_members(n, word)), key=_subset_rank(n).__getitem__)
 
 
 def occ_satisfied(top: Topology) -> tuple[bool, tuple[int, int, int, int] | None]:

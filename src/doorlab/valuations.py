@@ -147,11 +147,6 @@ class SetFunction:
     def domain(self) -> range:
         return range(0 if self.includes_empty else 1, 1 << self.n)
 
-    def __call__(self, mask: int) -> ExactComplex:
-        if mask == 0 and not self.includes_empty:
-            raise DomainError("function not defined on the empty set")
-        return self.values[mask]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

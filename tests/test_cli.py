@@ -692,3 +692,40 @@ def test_verifier_exits_1_on_an_injected_fault(monkeypatch, capsys, vid):
 def test_every_verifier_has_a_fault_test():
     tested = {"thm2", "thm4", "thm3", "part2-constructions", "relative-s1-s3"}
     assert tested | set(VERIFIER_FAULTS) == set(verify.VERIFIERS)
+
+
+def filter_check_failing_on(fractional):
+    """`increasing_filter_check` reporting a failure on the integer-valued
+    functions (constants and scan solutions) or on the rational-weight
+    samples: the two loops of `verify_remarks`, one each."""
+    original = verify.increasing_filter_check
+
+    def patched(f):
+        rep = original(f)
+        hit = any(v.re.denominator > 1 for v in f.values) == fractional
+        return {**rep, "ok": False} if hit else rep
+    return patched
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_remarks_exits_1_when_a_preimage_is_no_filter(monkeypatch, capsys, fractional):
+    monkeypatch.setattr(verify, "increasing_filter_check", filter_check_failing_on(fractional))
+    assert verify.verify_remarks()["ok"] is False
+    assert run(["verify-theorem", "--id", "remarks"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_infrastructure_exits_1_when_the_solution_routes_disagree(monkeypatch, capsys):
+    # The modular route loses its last eq2 solution on four points.
+    original = verify.solution_codes
+
+    def short(n, values, equation, mode):
+        sols = original(n, values, equation, mode)
+        return sols[:-1] if (n, equation, mode) == (4, "eq2", "modular") else sols
+
+    monkeypatch.setattr(verify, "solution_codes", short)
+    report = verify.verify_infrastructure()
+    assert report["ok"] is False
+    assert report["details"]["mode_agreement_solutions"] is False
+    assert run(["verify-theorem", "--id", "infrastructure"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False

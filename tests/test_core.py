@@ -9,6 +9,7 @@ from doorlab.core import (
     complement_family,
     full_mask,
     lattice_witness,
+    least_members,
     mask_from_points,
     parse_family,
     points_of,
@@ -17,6 +18,8 @@ from doorlab.core import (
     subsets_word,
     supersets_word,
 )
+from doorlab.filters import algebra_from_partition, partitions_of
+from doorlab.search import census, topology_words
 
 
 def test_parse_family_sierpinski():
@@ -131,6 +134,32 @@ def reference_lattice_witness(bits):
 def test_lattice_witness_matches_reference(n):
     for bits in range(1 << (1 << n)):
         assert lattice_witness(bits) == reference_lattice_witness(bits)
+
+
+def reference_least_members(n, word):
+    """U_x for each point x from one pass over the members in ascending
+    order, the first member holding a point being its U_x: the walk of the
+    one-point extension before `least_members`, kept as the reference."""
+    mins, covered = [0] * n, 0
+    for m in points_of(word):
+        for x in points_of(m & ~covered):
+            mins[x] = m
+        if (covered := covered | m) == full_mask(n):
+            break
+    return mins
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_least_members_match_the_ascending_walk(n):
+    # Every topology and its closed-set word up to five points, with every
+    # block algebra; on six points the 343 door words and their closed sets.
+    if n == 6:
+        words = [t.bits for t in census(6)[1]["door"]]
+    else:
+        words = topology_words(n)[0]
+        words += [algebra_from_partition(n, b).bits for b in partitions_of(n)]
+    for word in words + [complement_family(n, w) for w in words]:
+        assert least_members(n, word) == reference_least_members(n, word)
 
 
 def family_of(n, members):

@@ -3,7 +3,7 @@ import pytest
 import doorlab.filters as filters
 from doorlab.core import (
     ClaimFalsified, DomainError, Family, full_mask, lattice_witness, parse_family, points_of,
-    powerset, restrict_family, supersets_word)
+    powerset, restrict_family, subsets_word, supersets_word)
 from doorlab.filters import (
     algebra_from_partition,
     atoms_of_algebra,
@@ -192,6 +192,20 @@ def test_atoms_of_partition_algebra():
             assert sorted(atoms_of_algebra(sigma)) == sorted(blocks)
             assert len(sigma) == 1 << len(blocks)
             assert len(enumerate_ultrafilters(sigma)) == len(blocks)
+
+
+def reference_atoms_of_algebra(sigma):
+    """The nonempty members m that are the only nonempty member inside m: the
+    scan of `atoms_of_algebra` before `least_members`."""
+    return [m for m in points_of(sigma.bits & ~1)
+            if sigma.bits & subsets_word(m) & ~1 == 1 << m]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_atoms_match_the_subset_scan(n):
+    for blocks in partitions_of(n):
+        sigma = algebra_from_partition(n, blocks)
+        assert atoms_of_algebra(sigma) == reference_atoms_of_algebra(sigma)
 
 
 def test_restrict_principal_ultrafilter():

@@ -440,6 +440,12 @@ class TestSolutions:
         with pytest.raises(CapabilityError):
             enumerate_solutions(5, [ec(0), ec(1)], "eq1_disjoint", "brute")
 
+    def test_unknown_equation_and_mode(self):
+        with pytest.raises(CapabilityError, match="unknown equation 'eq3'"):
+            solution_codes(3, [ec(0), ec(1)], "eq3")
+        with pytest.raises(CapabilityError, match="unknown solution mode 'bogus'"):
+            solution_codes(3, [ec(0), ec(1)], "eq2", "bogus")
+
 
 @pytest.mark.parametrize("mode", ["brute", "modular"])
 @pytest.mark.parametrize("equation", ["eq1_disjoint", "eq2"])

@@ -13,6 +13,7 @@ from doorlab.topology import (
     SpaceReport,
     Topology,
     TopologyError,
+    _least_sets,
     lemma1_check,
     occ_satisfied,
     space_report,
@@ -239,6 +240,28 @@ def test_occ_matches_per_subset_reference(n):
     # On five points, the 131 door words: the ones the census tests.
     for top in census(5)[1]["door"] if n == 5 else enumerate_topologies(n)[0]:
         assert occ_satisfied(top) == reference_occ_satisfied(top)
+
+
+def reference_least_sets(n, word):
+    """The members holding a point that no earlier one holds, read in
+    `SUBSET_ORDER`: the walk of `_least_sets` before `least_members`."""
+    least, covered = [], 0
+    for m in SUBSET_ORDER[n]:
+        if (word >> m) & 1 and m & ~covered:
+            least.append(m)
+            covered |= m
+            if covered == (1 << n) - 1:
+                break
+    return least
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_least_sets_match_the_subset_order_walk(n):
+    # Every topology up to five points and the 343 door words on six, each
+    # with its closed-set word.
+    tops = census(6)[1]["door"] if n == 6 else enumerate_topologies(n)[0]
+    for word in [t.bits for t in tops] + [complement_family(n, t.bits) for t in tops]:
+        assert _least_sets(n, word) == reference_least_sets(n, word)
 
 
 def pair_loop_occ_satisfied(top):

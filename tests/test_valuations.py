@@ -437,6 +437,9 @@ class TestValueShape:
     def test_zero_z_2z(self):
         got = classify_value_shape([ec(0), ec(1), ec(2)])
         assert got == {"shape": "ZeroZ2Z", "z": ec(1)}
+        # Sorted, the nonzero pair is (-2, -1): the smaller is twice the larger.
+        got = classify_value_shape([ec(-2), ec(-1), ec(0)])
+        assert got == {"shape": "ZeroZ2Z", "z": ec(-1)}
 
     def test_other(self):
         assert classify_value_shape([ec(0), ec(1), ec(3)])["shape"] == "Other"
@@ -808,8 +811,6 @@ class TestHomogeneity:
 
 def test_set_function_constructor_and_json():
     f = cardinality_fn(3, includes_empty=False)
-    with pytest.raises(DomainError, match="not defined on the empty set"):
-        f(0)
     doc = f.to_json()
     assert doc["n"] == 3 and not doc["includes_empty"]
     assert len(doc["values"]) == 7
