@@ -113,6 +113,20 @@ def least_members(n: int, word: int) -> list[int]:
     return [((w := word & lane) & -w).bit_length() - 1 for lane in _lanes(n)]
 
 
+def is_lattice(n: int, bits: int) -> bool:
+    """Whether the family word `bits` is closed under union and meet: it
+    equals R, the masks between its meet and union that hold V_x for each
+    point x they hold, V_x the least member holding x.  R is closed under
+    both for any V_x holding x, and a closed family is its own R, each
+    member being the meet or the union of its V_x = U_x (Birkhoff, 1937)."""
+    r = WORD_END[n] - 1
+    for lane, v in zip(_lanes(n), least_members(n, bits)):
+        r &= ~lane if v < 0 else ~lane | supersets_word(n, v)
+        if not bits & ~lane:  # every member holds x
+            r &= lane
+    return r == bits
+
+
 def lattice_witness(bits: int) -> tuple[str, int, int] | None:
     """The first pair u < v of members of the family word `bits`, in
     ascending order, whose union or intersection is not a member, as

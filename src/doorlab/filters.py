@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .core import (
     ClaimFalsified, DomainError, Family, check_ground, complement_family, full_mask,
-    lattice_witness, least_members, points_of, supersets_word)
+    is_lattice, least_members, points_of, supersets_word)
 
 
 def is_algebra(fam: Family) -> bool:
@@ -16,7 +16,7 @@ def is_algebra(fam: Family) -> bool:
     therefore contains the empty set and X).  Under complements, union and
     intersection closure are equivalent, so the lattice check decides it."""
     return (len(fam) > 0 and complement_family(fam.n, fam.bits) == fam.bits
-            and lattice_witness(fam.bits) is None)
+            and is_lattice(fam.n, fam.bits))
 
 
 def algebra_from_partition(n: int, blocks: Sequence[int]) -> Family:
@@ -53,19 +53,15 @@ def atoms_of_algebra(sigma: Family) -> list[int]:
 
 def is_filter(fam: Family, sigma: Family) -> bool:
     """Nonempty, excludes the empty set, intersection-closed, and upward
-    closed within sigma."""
+    closed within sigma, for sigma closed under meets (an algebra or a
+    topology).  Then a filter is principal: its least member lo is the meet
+    of its members, and it is every member of sigma holding lo."""
     if fam.n != sigma.n:
         raise DomainError("filter and algebra ground sets differ")
     if fam.bits & ~sigma.bits:
         raise DomainError("family is not contained in the algebra")
-    members = points_of(fam.bits)
-    if not members or 0 in fam:
-        return False
-    for i, u in enumerate(members):
-        for v in members[i:]:
-            if (u & v) not in fam:
-                return False
-    return not any(sigma.bits & supersets_word(fam.n, u) & ~fam.bits for u in members)
+    lo = (fam.bits & -fam.bits).bit_length() - 1
+    return lo > 0 and fam.bits == sigma.bits & supersets_word(fam.n, lo)
 
 
 def is_ultrafilter(fam: Family, sigma: Family) -> bool:

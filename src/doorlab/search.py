@@ -56,9 +56,9 @@ def _raw_scan(n: int) -> tuple[list[int], int]:
 
     A candidate is a topology when it holds the empty set and X, and for
     every pair u < v it holds both u | v and u & v whenever it holds u and
-    v; these are the axioms `_axiom_witness` checks, pair by pair.  Each is
-    one operation on the lane words that decides it for every candidate at
-    once, so their conjunction is exactly the set of topologies.  A pair
+    v: the topology axioms stated pair by pair.  Each is one operation on
+    the lane words that decides it for every candidate at once, so their
+    conjunction is exactly the set of topologies.  A pair
     with u within v is skipped: its union and meet are v and u themselves."""
     space = 1 << (1 << n)
     has = [supersets_word(1 << n, 1 << s) for s in range(1 << n)]

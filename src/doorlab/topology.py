@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .core import (
     CAPS, SUBSET_ORDER, ClaimFalsified, Family, complement_family, full_mask,
-    lattice_witness, least_members, points_of, subsets_word)
+    is_lattice, lattice_witness, least_members, points_of, subsets_word)
 
 
 class TopologyError(ValueError):
@@ -33,32 +33,21 @@ class Topology(Family):
         return {"n": self.n, "opens": self.to_subsets(), "hex": self.to_hex()}
 
 
-def _axiom_witness(n: int, bits: int) -> tuple | None:
-    """None for a topology, else its first axiom violation: ("empty",),
-    ("whole",), or ("union" | "intersection", u, v)."""
-    if not bits & 1:
-        return ("empty",)
-    if not (bits >> full_mask(n)) & 1:
-        return ("whole",)
-    return lattice_witness(bits)
-
-
 def is_topology_bits(n: int, bits: int) -> bool:
-    """Fast axiom check on a raw family bitset (used by enumeration scans)."""
-    return _axiom_witness(n, bits) is None
+    """The topology axioms on a raw word: holds the empty set and X, and `is_lattice`."""
+    ends = 1 | 1 << full_mask(n)
+    return bits & ends == ends and is_lattice(n, bits)
 
 
 def validate_topology(fam: Family) -> Topology:
-    witness = _axiom_witness(fam.n, fam.bits)
-    if witness is None:
-        return Topology(fam.n, fam.bits)
-    kind = witness[0]
-    if kind == "empty":
+    n, bits = fam.n, fam.bits
+    if not bits & 1:
         raise TopologyError("empty set missing from the family")
-    if kind == "whole":
-        raise TopologyError(
-            f"whole space {points_of(full_mask(fam.n))} missing from the family")
-    u, v = witness[1:]
+    if not (bits >> full_mask(n)) & 1:
+        raise TopologyError(f"whole space {points_of(full_mask(n))} missing from the family")
+    if is_lattice(n, bits):
+        return Topology(n, bits)
+    kind, u, v = lattice_witness(bits)
     op, w = ("|", u | v) if kind == "union" else ("&", u & v)
     raise TopologyError(
         f"{kind} {points_of(u)} {op} {points_of(v)} = {points_of(w)} missing")

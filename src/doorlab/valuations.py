@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 
 from . import filters
 from .core import (
-    CAPS, DomainError, Family, check_ground, complement_family, full_mask, lattice_witness,
+    CAPS, DomainError, Family, check_ground, complement_family, full_mask, is_lattice,
     points_of, powerset, subsets_word, supersets_word)
 
 
@@ -315,9 +315,8 @@ def increasing_filter_check(f: SetFunction) -> dict:
     # Real codes are re*d with d > 0, so they keep the order of the values.
     codes = int_codes(f.values)
     increasing = all(codes[a] <= codes[a | 1 << x] for a in range(1 << f.n) for x in range(f.n))
-    report: dict = {"is_increasing": increasing}
-    ok_val, _ = satisfies_valuation(f)
-    report["is_valuation"] = ok_val
+    ok_val = valuation_witness(codes, f.n) is None
+    report: dict = {"is_increasing": increasing, "is_valuation": ok_val}
     if increasing and ok_val:
         bits = preimage(codes, f.domain(), codes[full_mask(f.n)])
         pw = powerset(f.n)
@@ -351,7 +350,7 @@ def lemma_two_valued_report(values: dict[int, ExactComplex | int], sigma: Family
     down_ok = not any(sigma.bits & subsets_word(y) & ~lower for y in points_of(lower))
     up_ok = not any(sigma.bits & supersets_word(n, u) & ~upper for u in points_of(upper))
 
-    closed_ok = all(lattice_witness(preimage(values, members, z)) is None for z in vset)
+    closed_ok = all(is_lattice(n, preimage(values, members, z)) for z in vset)
 
     return {
         "complement_split": split_ok,

@@ -65,6 +65,17 @@ def test_check_sierpinski(capsys):
     assert doc["lemma1"] is True
 
 
+def test_check_discrete_space_names_its_occ_witness(capsys):
+    # Four open and closed singletons are the first OCC witness.
+    family = json.dumps([[p for p in range(4) if m >> p & 1] for m in range(16)])
+    code, out, _ = capture(capsys, ["check", "--n", "4", "--family", family])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["occ"] is False
+    assert doc["occ_witness"] == [[0], [1], [2], [3]]
+    assert "lemma1" not in doc
+
+
 def test_check_invalid_family(capsys):
     code, _, err = capture(capsys, [
         "check", "--n", "2", "--family", "[[],[0],[1]]"])
@@ -112,6 +123,16 @@ def test_family_member_holding_a_list_is_nested_too_deeply(capsys, verb):
     # differs between Python versions.
     argv = [verb, "--n", "2", "--family", "[[[0]]]"]
     assert capture(capsys, argv) == (2, "", "error: family is nested too deeply\n")
+
+
+def test_classify_exits_1_when_a_connected_door_space_has_no_finite_type(
+        monkeypatch, capsys):
+    monkeypatch.setattr("doorlab.classify.descriptors", lambda n, kinds: [])
+    code, out, _ = capture(capsys, [
+        "classify", "--n", "3", "--family", "[[],[0],[0,1],[0,2],[0,1,2]]"])
+    assert code == 1
+    assert json.loads(out) == {"claim_falsified": "connected door space has a finite type",
+                               "witness": {"n": 3, "hex": "ab"}}
 
 
 def test_classify_form3(capsys):

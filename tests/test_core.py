@@ -8,6 +8,7 @@ from doorlab.core import (
     Family,
     complement_family,
     full_mask,
+    is_lattice,
     lattice_witness,
     least_members,
     mask_from_points,
@@ -20,6 +21,7 @@ from doorlab.core import (
 )
 from doorlab.filters import algebra_from_partition, partitions_of
 from doorlab.search import census, topology_words
+from doorlab.topology import Topology, TopologyError, validate_topology
 
 
 def test_parse_family_sierpinski():
@@ -136,6 +138,40 @@ def test_lattice_witness_matches_reference(n):
         assert lattice_witness(bits) == reference_lattice_witness(bits)
 
 
+def test_is_lattice_is_the_pair_check_on_every_word():
+    # Every family word on up to four points, the empty family included.
+    for n in (1, 2, 3, 4):
+        for bits in range(1 << (1 << n)):
+            assert is_lattice(n, bits) == (lattice_witness(bits) is None)
+
+
+def reference_axiom_message(n, bits):
+    """The `TopologyError` message of the first violated axiom, read off
+    `reference_lattice_witness`; None for a topology."""
+    if not bits & 1:
+        return "empty set missing from the family"
+    if not (bits >> full_mask(n)) & 1:
+        return f"whole space {list(range(n))} missing from the family"
+    witness = reference_lattice_witness(bits)
+    if witness is None:
+        return None
+    kind, u, v = witness
+    op, w = ("|", u | v) if kind == "union" else ("&", u & v)
+    return f"{kind} {points_of(u)} {op} {points_of(v)} = {points_of(w)} missing"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validate_topology_messages_match_the_pair_reference(n):
+    for bits in range(1 << (1 << n)):
+        expected = reference_axiom_message(n, bits)
+        if expected is None:
+            assert validate_topology(Family(n, bits)) == Topology(n, bits)
+            continue
+        with pytest.raises(TopologyError) as exc:
+            validate_topology(Family(n, bits))
+        assert str(exc.value) == expected
+
+
 def reference_least_members(n, word):
     """U_x for each point x from one pass over the members in ascending
     order, the first member holding a point being its U_x: the walk of the
@@ -189,6 +225,17 @@ def test_restrict_empty_result():
 def test_restrict_to_full_is_identity():
     fam = parse_family(3, [[0], [1, 2], []])
     assert restrict_family(fam, full_mask(3)).bits == fam.bits
+
+
+@pytest.mark.parametrize("a, message", [
+    (0b1000, "subset mask 8 out of range for n=3"),
+    (-1, "subset mask -1 out of range for n=3"),
+    (0, "cannot restrict onto the empty set"),
+])
+def test_restrict_family_refusals_are_named(a, message):
+    with pytest.raises(DomainError) as exc:
+        restrict_family(powerset(3), a)
+    assert str(exc.value) == message
 
 
 def test_serialization_roundtrip_exhaustive_n2():

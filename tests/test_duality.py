@@ -8,8 +8,8 @@ import random
 import pytest
 
 from doorlab.classify import FormDescriptor, form_word
-from doorlab.core import complement_family
-from doorlab.topology import Topology, occ_satisfied, space_report
+from doorlab.core import Family, complement_family
+from doorlab.topology import occ_satisfied, space_report, validate_topology
 
 
 def preorder_topology(n, rng):
@@ -27,13 +27,12 @@ def preorder_topology(n, rng):
     opens = {0}
     for u in below:
         opens |= {o | u for o in opens}
-    return Topology(n, sum(1 << o for o in opens))
+    return validate_topology(Family(n, sum(1 << o for o in opens)))
 
 
 def dual(top):
-    """The closed sets, built unchecked: the axiom check's pair loop takes
-    about 30 ms on one form at n = 10."""
-    return Topology(top.n, complement_family(top.n, top.bits))
+    """The closed sets, through the axiom check."""
+    return validate_topology(Family(top.n, complement_family(top.n, top.bits)))
 
 
 def assert_dual_reports(top):
@@ -75,4 +74,4 @@ def dual_form_pairs(n):
 def test_form_duals(n):
     for form, co in dual_form_pairs(n):
         assert complement_family(n, form_word(form, n)) == form_word(co, n)
-        assert_dual_reports(Topology(n, form_word(form, n)))
+        assert_dual_reports(validate_topology(Family(n, form_word(form, n))))

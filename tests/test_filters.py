@@ -14,6 +14,7 @@ from doorlab.filters import (
     is_ultrafilter,
     partitions_of,
 )
+from doorlab.search import topology_words
 
 
 def complement(m, n):
@@ -260,6 +261,21 @@ def reference_is_connected_door_wrt(top_family, sigma):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_principal_filter_test_matches_pair_loop_within_topologies(n):
+    # A topology is closed under meets but need not be an algebra: every
+    # subfamily of each one, the empty family included.
+    for sigma_bits in topology_words(n)[0]:
+        sigma = Family(n, sigma_bits)
+        sub = sigma_bits
+        while True:
+            fam = Family(n, sub)
+            assert is_filter(fam, sigma) == reference_is_filter(fam, sigma)
+            if sub == 0:
+                break
+            sub = (sub - 1) & sigma_bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_complement_predicates_match_per_member_loops(n):
     for blocks in partitions_of(n):
         sigma = algebra_from_partition(n, blocks)
@@ -283,3 +299,34 @@ def test_ground_set_mismatch_is_refused():
         is_connected_door_wrt(Family(3, 0b1011), powerset(2))
     with pytest.raises(DomainError, match="ground sets differ"):
         is_filter(Family(3, 0b1010), powerset(2))
+
+
+@pytest.mark.parametrize("n, blocks, message", [
+    (3, [], "partition needs at least one block"),
+    (3, [0b011, 0, 0b100], "empty block in partition"),
+])
+def test_partition_without_blocks_or_with_an_empty_block_is_named(n, blocks, message):
+    with pytest.raises(DomainError) as exc:
+        algebra_from_partition(n, blocks)
+    assert str(exc.value) == message
+
+
+def test_filter_outside_the_algebra_is_refused():
+    sigma = algebra_from_partition(3, [0b011, 0b100])
+    with pytest.raises(DomainError) as exc:
+        is_filter(family_of(3, [0b001, 0b111]), sigma)
+    assert str(exc.value) == "family is not contained in the algebra"
+
+
+def test_ultrafilters_of_a_non_algebra_are_refused():
+    with pytest.raises(DomainError) as exc:
+        enumerate_ultrafilters(parse_family(2, [[], [0], [0, 1]]))
+    assert str(exc.value) == "family is not an algebra"
+
+
+def test_family_outside_the_algebra_is_not_connected_door_wrt_it():
+    # The included-point space at 0: connected door on the power set, but
+    # {0} is no member of the block algebra {{0, 1}, {2}}.
+    fam = family_of(3, [0b000, 0b001, 0b011, 0b101, 0b111])
+    assert is_connected_door_wrt(fam, powerset(3)) is True
+    assert is_connected_door_wrt(fam, algebra_from_partition(3, [0b011, 0b100])) is False

@@ -74,7 +74,7 @@ def test_raw_scan_makes_no_per_word_axiom_call(monkeypatch):
         raise AssertionError("per-word axiom check")
 
     monkeypatch.setattr(search, "is_topology_bits", per_word)
-    monkeypatch.setattr("doorlab.topology._axiom_witness", per_word)
+    monkeypatch.setattr("doorlab.topology.is_lattice", per_word)
     assert _raw_scan(4) == expected
 
 

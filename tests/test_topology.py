@@ -6,7 +6,8 @@ import pytest
 import doorlab.topology
 from doorlab.classify import FormDescriptor, construct_topology, descriptors
 from doorlab.core import (
-    SUBSET_ORDER, Family, complement_family, in_subset_order, parse_family, points_of, powerset)
+    SUBSET_ORDER, ClaimFalsified, Family, complement_family, in_subset_order, parse_family,
+    points_of, powerset)
 from doorlab.search import census, enumerate_topologies
 from doorlab.topology import (
     PreconditionError,
@@ -70,6 +71,16 @@ def test_validate_exact_messages(n, subsets, message):
     with pytest.raises(TopologyError) as exc:
         validate_topology(parse_family(n, subsets))
     assert str(exc.value) == message
+
+
+def test_space_report_raises_when_its_two_characterizations_disagree():
+    # Built unchecked, the empty family on one point is not door by its
+    # complement word, but connected door by the xor word, which takes the
+    # empty set and X as given.
+    with pytest.raises(ClaimFalsified) as exc:
+        space_report(Topology(1, 0))
+    assert exc.value.claim == "connected-door characterizations agree"
+    assert exc.value.witness == {"n": 1, "hex": "0"}
 
 
 def reference_space_report(top):

@@ -106,6 +106,12 @@ class TestExactComplex:
         with pytest.raises(DomainError):
             parse_value("spam")
 
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_parse_refuses_an_empty_value(self, text):
+        with pytest.raises(DomainError) as exc:
+            parse_value(text)
+        assert str(exc.value) == "empty value"
+
     @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2+1E4301i", "1e-20000i"])
     def test_parse_refuses_exponent_beyond_digit_limit(self, text):
         # Each value has more than 4,300 digits and an exponent beyond 4,300,
@@ -272,6 +278,11 @@ class TestValuation:
     @given(near_modular_functions(GAUSSIAN_RATIONALS))
     def test_gaussian_rationals_match_reference_loop(self, f):
         assert satisfies_valuation(f) == reference_satisfies_valuation(f)
+
+    def test_value_table_of_the_wrong_size_is_refused(self):
+        with pytest.raises(DomainError) as exc:
+            SetFunction(3, True, (EC_ZERO,) * 7)
+        assert str(exc.value) == "value table size does not match the ground set"
 
 
 def zero_extension_codes(f):
@@ -743,6 +754,11 @@ class TestIncreasing:
         vals = tuple(ec(5) for _ in range(8))
         rep = increasing_filter_check(SetFunction(3, True, vals))
         assert rep["ok"] and not rep["preimage_is_proper"]
+
+    def test_function_without_the_empty_set_is_refused(self):
+        with pytest.raises(DomainError) as exc:
+            increasing_filter_check(cardinality_fn(3, includes_empty=False))
+        assert str(exc.value) == "check ranges over the full power set"
 
 
 class TestAlgebraRelative:
